@@ -24,7 +24,7 @@ fmt-fix:
 	dune fmt
 
 bench:
-	dune exec bench/main.exe -- --no-micro
+	dune exec bench/main.exe
 
 # Smoke test for the regression gate: the committed baseline must compare
 # clean against itself (schema readable, every metric within tolerance).
@@ -81,43 +81,41 @@ admission-smoke:
 
 # Bounded VOPR swarm: 32 seed-derived scenarios (virtual-time budgets keep
 # this well under a minute of wall clock), plus the mutation tests — the
-# planted grow-only bug, the planted cache Inval drop and the planted
-# membership-axiom flip in the parametric checker must each be caught
-# within the same seed range.  Repro bundles for any failure land in
-# vopr-bundles/ (CI uploads them).
+# planted bugs the runner reaches (grow-only-drop, the cache's
+# inval-drop, and axiom-flip in the parametric checker) must each be
+# caught within the same seed range.  Repro bundles for any failure land
+# in vopr-bundles/ (CI uploads them).
 vopr-smoke:
 	rm -rf vopr-bundles && mkdir -p vopr-bundles
 	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --bundle-dir vopr-bundles --quiet
-	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --planted-bug --no-shrink --quiet; \
-	  test $$? -eq 1 || { echo "vopr-smoke: planted bug was NOT detected"; exit 1; }
-	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --planted-cache-bug --no-shrink --quiet; \
-	  test $$? -eq 1 || { echo "vopr-smoke: planted cache bug was NOT detected"; exit 1; }
-	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --planted-spec-bug --no-shrink --quiet; \
-	  test $$? -eq 1 || { echo "vopr-smoke: planted spec bug was NOT detected"; exit 1; }
+	for m in grow-only-drop inval-drop axiom-flip; do \
+	  dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --mutation $$m --no-shrink --quiet; \
+	  test $$? -eq 1 || { echo "vopr-smoke: mutation $$m was NOT detected"; exit 1; }; \
+	done
 
 # Replication-group cluster scenarios: the full table (every row run
 # twice, digests byte-identical — including the retry-storm and
-# shed-under-partition overload rows) must pass; the planted view-change
-# log drop must be caught by the oracle's commit-safety verdicts, and the
-# planted shed-after-apply bug by its shed-divergence verdict.
-# Repro bundles for any failing row land in repl-bundles/ (CI uploads
-# them); re-run a single row with `scenarios --only NAME`.
+# shed-under-partition overload rows) must pass; the view-change-drop
+# mutation must be caught by the oracle's commit-safety verdicts, and
+# shed-after-apply by its shed-divergence verdict.  Repro bundles for
+# any failing row land in repl-bundles/ (CI uploads them); replay one
+# with `weakset_vopr replay`, or re-run a row with `scenarios --only NAME`.
 repl-smoke:
 	rm -rf repl-bundles && mkdir -p repl-bundles
 	dune exec bin/weakset_vopr.exe -- scenarios --bundle-dir repl-bundles --quiet
-	dune exec bin/weakset_vopr.exe -- scenarios --planted-commit-bug --quiet; \
-	  test $$? -eq 1 || { echo "repl-smoke: planted commit bug was NOT detected"; exit 1; }
-	dune exec bin/weakset_vopr.exe -- scenarios --only retry-storm --planted-shed-bug --quiet; \
-	  test $$? -eq 1 || { echo "repl-smoke: planted shed bug was NOT detected"; exit 1; }
+	dune exec bin/weakset_vopr.exe -- scenarios --mutation view-change-drop --quiet; \
+	  test $$? -eq 1 || { echo "repl-smoke: mutation view-change-drop was NOT detected"; exit 1; }
+	dune exec bin/weakset_vopr.exe -- scenarios --only retry-storm --mutation shed-after-apply --quiet; \
+	  test $$? -eq 1 || { echo "repl-smoke: mutation shed-after-apply was NOT detected"; exit 1; }
 
-# Flight-recorder end-to-end: an armed planted-bug run must trigger at
-# least one black-box dump, and rendering the dumps must resolve at
+# Flight-recorder end-to-end: a run with a planted bug armed must trigger
+# at least one black-box dump, and rendering the dumps must resolve at
 # least one tail exemplar back to a full span tree.
 blackbox-smoke:
 	rm -rf blackbox-dumps && mkdir -p blackbox-dumps
-	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --planted-bug --no-shrink --quiet \
-	  --blackbox-dir blackbox-dumps; \
-	  test $$? -eq 1 || { echo "blackbox-smoke: planted bug was NOT detected"; exit 1; }
+	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --mutation grow-only-drop --no-shrink \
+	  --quiet --blackbox-dir blackbox-dumps; \
+	  test $$? -eq 1 || { echo "blackbox-smoke: mutation grow-only-drop was NOT detected"; exit 1; }
 	@ls blackbox-dumps/blackbox-seed-*.json >/dev/null 2>&1 \
 	  || { echo "blackbox-smoke: no black-box dump was written"; exit 1; }
 	dune exec bin/weakset_trace.exe -- blackbox blackbox-dumps/blackbox-seed-*.json \

@@ -1,10 +1,9 @@
 (* Benchmark/experiment driver.  Running with no arguments regenerates
-   every experiment table (F1..F6, E1..E9, A1..A4) and the bechamel
-   microbenchmarks (M1); see DESIGN.md section 4 for the experiment index
-   and EXPERIMENTS.md for paper-vs-measured commentary.
+   every experiment table (F1..F6, E1..E9, A1..A4); see DESIGN.md
+   section 4 for the experiment index and EXPERIMENTS.md for
+   paper-vs-measured commentary.  Host cost is measured by hostbench/.
 
      dune exec bench/main.exe                     -- everything
-     dune exec bench/main.exe -- --no-micro       -- experiments only
      dune exec bench/main.exe -- --metrics-json m.json
                                                   -- also dump the metrics
                                                      registries as JSON
@@ -74,8 +73,7 @@ let () =
           | None ->
               Printf.printf "Weak sets (Wing & Steere, ICDCS 1995) - experiment suite\n";
               Printf.printf "All latencies are simulated virtual time units unless noted.\n";
-              Bench_lib.Experiments.run_all ();
-              if not o.Bench_lib.Cli.no_micro then Bench_lib.Micro.run ());
+              Bench_lib.Experiments.run_all ());
           Option.iter
             (fun path -> Bench_lib.Harness.export_metrics_json ~path)
             o.Bench_lib.Cli.metrics_json;

@@ -1,7 +1,8 @@
 (* VOPR-style deterministic simulation fuzzer for the weak-set stack.
 
      weakset_vopr run --seeds 0..32          -- bounded swarm (CI smoke)
-     weakset_vopr run --seed 7 --planted-bug -- one seed, bug armed
+     weakset_vopr run --seed 7 --mutation grow-only-drop
+                                             -- one seed, planted bug armed
      weakset_vopr replay bundle.json         -- byte-identical reproduction
      weakset_vopr shrink bundle.json -o min.json
 
@@ -15,6 +16,7 @@ module Oracle = Weakset_vopr.Oracle
 module Runner = Weakset_vopr.Runner
 module Shrink = Weakset_vopr.Shrink
 module Scenario = Weakset_vopr.Scenario
+module Mutation = Weakset_obs.Mutation
 
 let usage =
   "usage: weakset_vopr COMMAND [options]\n\n\
@@ -30,14 +32,12 @@ let usage =
   \  --bundle-dir DIR     write vopr-seed-N.json for each failing seed\n\
   \  --blackbox-dir DIR   write blackbox-seed-N-K.json flight dumps for failures\n\
   \  --no-shrink          bundle the original, unshrunk schedule\n\
-  \  --planted-bug        arm the planted grow-only drop (mutation test)\n\
-  \  --planted-cache-bug  arm the planted cache Inval drop (mutation test)\n\
-  \  --planted-spec-bug   arm the planted membership-axiom flip (mutation test)\n\
+  \  --mutation NAME      arm a planted bug (mutation test; see below)\n\
   \  --quiet              only print failures and the summary\n\n\
    replay options:\n\
-  \  --step-cap N         engine step budget (default 1000000)\n\
-  \  BUNDLE               repro bundle written by run/shrink\n\n\
-   shrink options:\n\
+  \  BUNDLE               repro bundle written by run/shrink/scenarios; its\n\
+  \                       mutation and step cap are used\n\n\
+   shrink options (plan bundles only; the bundle must replay first):\n\
   \  --max-runs N         candidate execution budget (default 200)\n\
   \  -o FILE              output bundle (default: overwrite input)\n\
   \  BUNDLE               repro bundle to minimise\n\n\
@@ -46,9 +46,13 @@ let usage =
   \  --list               print the table and exit\n\
   \  --step-cap N         engine step budget per execution (default 1000000)\n\
   \  --bundle-dir DIR     write scenario-NAME.json for each failing row\n\
-  \  --planted-commit-bug arm the planted view-change log drop (mutation test)\n\
-  \  --planted-shed-bug   arm the planted shed-after-apply (mutation test)\n\
-  \  --quiet              only print failures and the summary\n"
+  \  --mutation NAME      arm a planted bug (mutation test; see below)\n\
+  \  --quiet              only print failures and the summary\n\n\
+   mutations (the command that reaches each is in parentheses):\n"
+  ^ String.concat ""
+      (List.map
+         (fun m -> Printf.sprintf "  %-20s %s\n" (Mutation.to_string m) (Mutation.describe m))
+         Mutation.all)
 
 let usage_die fmt =
   Printf.ksprintf
@@ -77,38 +81,54 @@ let int_arg flag v =
   | Some n when n > 0 -> n
   | _ -> usage_die "%s expects a positive integer, got %S" flag v
 
+let mutation_arg v =
+  match Mutation.of_string v with
+  | Some m -> m
+  | None -> usage_die "--mutation: unknown mutation %S" v
+
+let armed_suffix = function
+  | None -> ""
+  | Some m -> Printf.sprintf " [mutation %s armed]" (Mutation.to_string m)
+
 (* ------------------------------------------------------------------ *)
-(* run                                                                *)
+(* Options of run and scenarios                                       *)
 (* ------------------------------------------------------------------ *)
 
-type run_opts = {
-  mutable seeds : int64 list;  (** reverse accumulation order *)
+type opts = {
+  mutable seeds : int64 list;  (** run; reverse accumulation order *)
+  mutable only : string list;  (** scenarios; reverse accumulation order *)
+  mutable list : bool;  (** scenarios *)
   mutable step_cap : int option;
   mutable bundle_dir : string option;
-  mutable blackbox_dir : string option;
-  mutable no_shrink : bool;
-  mutable planted_bug : bool;
-  mutable planted_cache_bug : bool;
-  mutable planted_spec_bug : bool;
+  mutable blackbox_dir : string option;  (** run *)
+  mutable no_shrink : bool;  (** run *)
+  mutable mutation : Mutation.t option;
   mutable quiet : bool;
 }
 
-let parse_run_args args =
+(* [cmd] is "run" or "scenarios"; the other command's flags are unknown
+   arguments. *)
+let parse_opts cmd args =
   let o =
     {
       seeds = [];
+      only = [];
+      list = false;
       step_cap = None;
       bundle_dir = None;
       blackbox_dir = None;
       no_shrink = false;
-      planted_bug = false;
-      planted_cache_bug = false;
-      planted_spec_bug = false;
+      mutation = None;
       quiet = false;
     }
   in
+  let other =
+    if String.equal cmd "run" then [ "--only"; "--list" ]
+    else [ "--seeds"; "--seed"; "--blackbox-dir"; "--no-shrink" ]
+  in
   let rec go = function
     | [] -> ()
+    | a :: _ when List.mem a other -> usage_die "%s: unknown argument %S" cmd a
     | "--seeds" :: v :: rest ->
         o.seeds <- List.rev_append (parse_seeds v) o.seeds;
         go rest
@@ -118,6 +138,12 @@ let parse_run_args args =
             o.seeds <- s :: o.seeds;
             go rest
         | None -> usage_die "--seed expects an integer, got %S" v)
+    | "--only" :: v :: rest ->
+        o.only <- v :: o.only;
+        go rest
+    | "--list" :: rest ->
+        o.list <- true;
+        go rest
     | "--step-cap" :: v :: rest ->
         o.step_cap <- Some (int_arg "--step-cap" v);
         go rest
@@ -130,32 +156,32 @@ let parse_run_args args =
     | "--no-shrink" :: rest ->
         o.no_shrink <- true;
         go rest
-    | "--planted-bug" :: rest ->
-        o.planted_bug <- true;
-        go rest
-    | "--planted-cache-bug" :: rest ->
-        o.planted_cache_bug <- true;
-        go rest
-    | "--planted-spec-bug" :: rest ->
-        o.planted_spec_bug <- true;
+    | "--mutation" :: v :: rest ->
+        o.mutation <- Some (mutation_arg v);
         go rest
     | "--quiet" :: rest ->
         o.quiet <- true;
         go rest
-    | [ (("--seeds" | "--seed" | "--step-cap" | "--bundle-dir" | "--blackbox-dir") as flag) ] ->
+    | [
+        (( "--seeds" | "--seed" | "--only" | "--step-cap" | "--bundle-dir" | "--blackbox-dir"
+         | "--mutation" ) as flag);
+      ] ->
         usage_die "%s expects an argument" flag
-    | a :: _ -> usage_die "run: unknown argument %S" a
+    | a :: _ -> usage_die "%s: unknown argument %S" cmd a
   in
   go args;
-  if o.seeds = [] then usage_die "run: no seeds given (use --seeds A..B or --seed N)";
   o.seeds <- List.rev o.seeds;
+  o.only <- List.rev o.only;
   o
 
+(* ------------------------------------------------------------------ *)
+(* run                                                                *)
+(* ------------------------------------------------------------------ *)
+
 let cmd_run args =
-  let o = parse_run_args args in
-  Weakset_core.Impl_common.planted_grow_only_drop := o.planted_bug;
-  Weakset_store.Cache.planted_inval_drop := o.planted_cache_bug;
-  Weakset_spec.Visibility.planted_axiom_mutation := o.planted_spec_bug;
+  let o = parse_opts "run" args in
+  if o.seeds = [] then usage_die "run: no seeds given (use --seeds A..B or --seed N)";
+  let execute p = Runner.execute ?step_cap:o.step_cap ?mutation:o.mutation p in
   let failures = ref 0 in
   let progress seed (r : Runner.result) =
     if r.issues = [] then begin
@@ -170,9 +196,9 @@ let cmd_run args =
       let bundled =
         if o.no_shrink then r
         else begin
-          let run p = (Runner.execute ?step_cap:o.step_cap p).issues in
+          let run p = (execute p).issues in
           let plan', _issues', st = Shrink.minimize ~run ~issues:r.issues r.plan in
-          let r' = Runner.execute ?step_cap:o.step_cap plan' in
+          let r' = execute plan' in
           Printf.printf "  shrunk %d -> %d schedule events in %d runs\n%!" st.initial_events
             st.final_events st.runs;
           r'
@@ -203,61 +229,63 @@ let cmd_run args =
         o.blackbox_dir
     end
   in
-  let results = Runner.sweep ?step_cap:o.step_cap ~progress o.seeds in
-  Printf.printf "vopr: %d seed(s), %d failure(s)\n%!" (List.length results) !failures;
+  let results = Runner.sweep ?step_cap:o.step_cap ?mutation:o.mutation ~progress o.seeds in
+  Printf.printf "vopr: %d seed(s), %d failure(s)%s\n%!" (List.length results) !failures
+    (armed_suffix o.mutation);
   exit (if !failures > 0 then 1 else 0)
 
 (* ------------------------------------------------------------------ *)
 (* replay                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type replay_opts = { mutable r_step_cap : int option; mutable r_bundle : string option }
-
-let parse_replay_args args =
-  let o = { r_step_cap = None; r_bundle = None } in
-  let rec go = function
-    | [] -> ()
-    | "--step-cap" :: v :: rest ->
-        o.r_step_cap <- Some (int_arg "--step-cap" v);
-        go rest
-    | [ "--step-cap" ] -> usage_die "--step-cap expects an argument"
-    | a :: _ when String.length a > 0 && a.[0] = '-' -> usage_die "replay: unknown option %S" a
-    | path :: rest ->
-        if o.r_bundle <> None then usage_die "replay: more than one bundle given";
-        o.r_bundle <- Some path;
-        go rest
-  in
-  go args;
-  o
+let refuse fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline ("weakset_vopr: " ^ s);
+      exit 1)
+    fmt
 
 let load_bundle path =
   match Runner.read_bundle ~path with
   | Ok b -> b
-  | Error m ->
-      prerr_endline (Printf.sprintf "weakset_vopr: cannot load %s: %s" path m);
-      exit 1
+  | Error m -> refuse "cannot load %s: %s" path m
 
-let cmd_replay args =
-  let o = parse_replay_args args in
-  let path = match o.r_bundle with Some p -> p | None -> usage_die "replay: no bundle given" in
-  let b = load_bundle path in
-  match Runner.replay ?step_cap:o.r_step_cap b with
+let describe_subject (b : Runner.bundle) =
+  match b.b_subject with
+  | Runner.Plan p -> Printf.sprintf "seed %Ld" p.Gen.seed
+  | Runner.Row name -> Printf.sprintf "scenario %s" name
+
+(* Replays [b] and prints the outcome; true iff it reproduced. *)
+let replay_and_report (b : Runner.bundle) =
+  match Runner.replay b with
   | Runner.Reproduced r ->
-      Printf.printf "reproduced: seed %Ld, digest %s over %d events, %d issue(s)\n" b.b_plan.seed
-        r.digest r.events (List.length r.issues);
-      List.iter (fun i -> Printf.printf "  - %s\n" (Oracle.describe i)) r.issues;
-      exit 0
-  | Runner.Digest_mismatch { got; expected } ->
+      Printf.printf "reproduced: %s%s, digest %s over %d events, %d issue(s)\n"
+        (describe_subject b) (armed_suffix b.b_mutation) r.b_digest r.b_events
+        (List.length r.b_issues);
+      List.iter (fun i -> Printf.printf "  - %s\n" (Oracle.describe i)) r.b_issues;
+      true
+  | Runner.Digest_mismatch got ->
       Printf.printf "DIGEST MISMATCH: expected %s over %d events, got %s over %d events\n"
-        expected b.b_events got.digest got.events;
-      exit 1
+        b.b_digest b.b_events got.b_digest got.b_events;
+      false
   | Runner.Verdict_mismatch got ->
       Printf.printf "VERDICT MISMATCH: digest matches but issues differ\n";
       Printf.printf "  recorded:\n";
       List.iter (fun i -> Printf.printf "    - %s\n" (Oracle.describe i)) b.b_issues;
       Printf.printf "  replayed:\n";
-      List.iter (fun i -> Printf.printf "    - %s\n" (Oracle.describe i)) got.issues;
-      exit 1
+      List.iter (fun i -> Printf.printf "    - %s\n" (Oracle.describe i)) got.b_issues;
+      false
+
+let cmd_replay args =
+  let path =
+    match args with
+    | [] -> usage_die "replay: no bundle given"
+    | a :: _ when String.length a > 0 && a.[0] = '-' -> usage_die "replay: unknown option %S" a
+    | [ path ] -> path
+    | _ -> usage_die "replay: more than one bundle given"
+  in
+  let b = load_bundle path in
+  exit (if replay_and_report b then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
 (* shrink                                                             *)
@@ -293,22 +321,27 @@ let cmd_shrink args =
   let o = parse_shrink_args args in
   let path = match o.s_bundle with Some p -> p | None -> usage_die "shrink: no bundle given" in
   let b = load_bundle path in
-  Weakset_core.Impl_common.planted_grow_only_drop := b.b_planted;
-  Weakset_store.Cache.planted_inval_drop := b.b_planted_cache;
-  Weakset_spec.Visibility.planted_axiom_mutation := b.b_planted_spec;
+  let plan =
+    match b.b_subject with
+    | Runner.Plan p -> p
+    | Runner.Row _ -> refuse "a scenario-row bundle has no schedule to shrink"
+  in
   let issues =
     match b.b_issues with
-    | [] ->
-        prerr_endline "weakset_vopr: bundle records a passing run; nothing to shrink";
-        exit 1
+    | [] -> refuse "bundle records a passing run; nothing to shrink"
     | l -> l
   in
-  let run p = (Runner.execute p).issues in
-  let plan', _, st = Shrink.minimize ?max_runs:o.s_max_runs ~run ~issues b.b_plan in
-  let r' = Runner.execute plan' in
+  (* Shrinking a bundle that does not reproduce would chase a failure
+     this build cannot see, and could write a passing bundle. *)
+  if not (replay_and_report b) then refuse "bundle does not replay; not shrinking %s" path;
+  let execute p = Runner.execute ~step_cap:b.b_step_cap ?mutation:b.b_mutation p in
+  let run p = (execute p).issues in
+  let plan', _, st = Shrink.minimize ?max_runs:o.s_max_runs ~run ~issues plan in
+  let r' = execute plan' in
   Printf.printf "shrunk %d -> %d schedule events (%d candidate runs, %d kept)\n"
     st.initial_events st.final_events st.runs st.kept;
   let out = Option.value o.s_out ~default:path in
+  if r'.issues = [] then refuse "shrunk plan passes; not writing %s" out;
   Runner.write_bundle ~path:out (Runner.bundle_of_result r');
   Printf.printf "bundle: %s (%d issue(s))\n" out (List.length r'.issues);
   exit 0
@@ -317,75 +350,9 @@ let cmd_shrink args =
 (* scenarios                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type scenario_opts = {
-  mutable sc_only : string list;  (** reverse accumulation order *)
-  mutable sc_list : bool;
-  mutable sc_step_cap : int option;
-  mutable sc_bundle_dir : string option;
-  mutable sc_planted : bool;
-  mutable sc_planted_shed : bool;
-  mutable sc_quiet : bool;
-}
-
-let parse_scenario_args args =
-  let o =
-    {
-      sc_only = [];
-      sc_list = false;
-      sc_step_cap = None;
-      sc_bundle_dir = None;
-      sc_planted = false;
-      sc_planted_shed = false;
-      sc_quiet = false;
-    }
-  in
-  let rec go = function
-    | [] -> ()
-    | "--only" :: v :: rest ->
-        o.sc_only <- v :: o.sc_only;
-        go rest
-    | "--list" :: rest ->
-        o.sc_list <- true;
-        go rest
-    | "--step-cap" :: v :: rest ->
-        o.sc_step_cap <- Some (int_arg "--step-cap" v);
-        go rest
-    | "--bundle-dir" :: v :: rest ->
-        o.sc_bundle_dir <- Some v;
-        go rest
-    | "--planted-commit-bug" :: rest ->
-        o.sc_planted <- true;
-        go rest
-    | "--planted-shed-bug" :: rest ->
-        o.sc_planted_shed <- true;
-        go rest
-    | "--quiet" :: rest ->
-        o.sc_quiet <- true;
-        go rest
-    | [ (("--only" | "--step-cap" | "--bundle-dir") as flag) ] ->
-        usage_die "%s expects an argument" flag
-    | a :: _ -> usage_die "scenarios: unknown argument %S" a
-  in
-  go args;
-  o.sc_only <- List.rev o.sc_only;
-  o
-
-(* A scenario failure's repro bundle: the row is the schedule (re-run it
-   with --only), so the bundle only needs the verdict and fingerprint. *)
-let write_scenario_bundle dir (o : Scenario.outcome) =
-  let path = Filename.concat dir (Printf.sprintf "scenario-%s.json" o.o_name) in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"scenario\": %S, \"digest\": %S, \"events\": %d, \"deterministic\": %b, \
-     \"committed\": %d, \"ops_ok\": %d, \"ops_failed\": %d, \"issues\": [%s]}\n"
-    o.o_name o.o_digest o.o_events o.o_deterministic o.o_committed o.o_ops_ok o.o_ops_failed
-    (String.concat ", " (List.map Oracle.issue_to_json o.o_issues));
-  close_out oc;
-  path
-
 let cmd_scenarios args =
-  let o = parse_scenario_args args in
-  if o.sc_list then begin
+  let o = parse_opts "scenarios" args in
+  if o.list then begin
     List.iter
       (fun (s : Scenario.t) ->
         Printf.printf "%-28s %d replicas, %.0fs, %d steps\n" s.name s.replicas s.until
@@ -394,7 +361,7 @@ let cmd_scenarios args =
     exit 0
   end;
   let rows =
-    match o.sc_only with
+    match o.only with
     | [] -> Scenario.table
     | names ->
         List.map
@@ -407,27 +374,21 @@ let cmd_scenarios args =
   let failures = ref 0 in
   List.iter
     (fun row ->
-      let outcome =
-        Scenario.run ?step_cap:o.sc_step_cap ~planted:o.sc_planted
-          ~planted_shed:o.sc_planted_shed row
-      in
+      let outcome = Scenario.run ?step_cap:o.step_cap ?mutation:o.mutation row in
       let ok = Scenario.passed outcome in
       if not ok then incr failures;
-      if (not ok) || not o.sc_quiet then
+      if (not ok) || not o.quiet then
         Format.printf "%a@." Scenario.pp_outcome outcome;
       if not ok then
         Option.iter
           (fun dir ->
-            let path = write_scenario_bundle dir outcome in
+            let path = Filename.concat dir (Printf.sprintf "scenario-%s.json" outcome.o_name) in
+            Runner.write_bundle ~path (Runner.bundle_of_outcome outcome);
             Printf.printf "  bundle: %s\n%!" path)
-          o.sc_bundle_dir)
+          o.bundle_dir)
     rows;
   Printf.printf "scenarios: %d row(s), %d failure(s)%s\n%!" (List.length rows) !failures
-    (match (o.sc_planted, o.sc_planted_shed) with
-    | true, true -> " [planted commit + shed bugs armed]"
-    | true, false -> " [planted commit bug armed]"
-    | false, true -> " [planted shed bug armed]"
-    | false, false -> "");
+    (armed_suffix o.mutation);
   exit (if !failures > 0 then 1 else 0)
 
 let main () =

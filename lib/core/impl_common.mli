@@ -27,13 +27,6 @@ val make_ctx :
 
 val engine : ctx -> Weakset_sim.Engine.t
 
-(** Mutation-testing hook (off by default, and in all production paths):
-    when set, the grow-only iterator silently marks un-yielded members
-    whose homes are unreachable as yielded and returns instead of
-    signalling failure — a deliberately planted partition-window bug the
-    VOPR swarm must detect, shrink and replay (see [lib/vopr]). *)
-val planted_grow_only_drop : bool ref
-
 (** Pick the un-yielded candidate with the closest (cheapest-path)
     reachable home; ties break on oid number.  [None] if no candidate's
     home is reachable. *)

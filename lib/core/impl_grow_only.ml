@@ -59,7 +59,7 @@ let next st () =
             end
             else
               match pick_reachable st.ctx remaining with
-              | None when !planted_grow_only_drop ->
+              | None when Weakset_obs.Mutation.(armed Grow_only_drop) ->
                   (* Planted bug (mutation testing): silently drop the
                      unreachable members and pretend the iteration is
                      complete instead of signalling the failure. *)

@@ -14,15 +14,6 @@ module Bus = Weakset_obs.Bus
 
 type rpc = (Protocol.request, Protocol.response) Rpc.t
 
-(* Planted bug (armed by the VOPR scenario CLI, like the other planted
-   mutations): a new leader throws away the uncommitted suffix of the
-   best log instead of re-replicating it.  An op the old leader had
-   already committed — majority-acked, client-acked — but whose commit
-   point had not yet reached the backups vanishes, and its opnum gets
-   reused: exactly the commit-safety violation the oracle's
-   [Commit_lost]/[Commit_reordered] verdicts must catch. *)
-let planted_view_change_drop = ref false
-
 let op_str op = Format.asprintf "%a" Directory.pp_op op
 
 (* The client-visible commit ledger: every (opnum, op) a leader
@@ -330,7 +321,14 @@ let rec become_leader t v =
     (* The adopted log is re-replicated under view [v]: from here on the
        suffix follows the new view's ordering. *)
     install_log t best.d_log ~view:v ~opnum:best.d_opnum ~commit_pt:max_commit;
-    if !planted_view_change_drop && t.suffix <> [] then begin
+    (* Planted bug [Mutation.View_change_drop]: throw away the
+       uncommitted suffix of the best log instead of re-replicating it.
+       An op the old leader had already committed — majority-acked,
+       client-acked — but whose commit point had not yet reached the
+       backups vanishes, and its opnum gets reused: exactly the
+       commit-safety violation the oracle's [Commit_lost] /
+       [Commit_reordered] verdicts must catch. *)
+    if Weakset_obs.Mutation.(armed View_change_drop) && t.suffix <> [] then begin
       note t "PLANTED drop of %d uncommitted entr(ies) at takeover"
         (List.length t.suffix);
       t.suffix <- [];

@@ -24,14 +24,6 @@
 
 type rpc = (Weakset_store.Protocol.request, Weakset_store.Protocol.response) Weakset_net.Rpc.t
 
-(** Planted commit-safety bug (armed by [vopr scenarios
-    --planted-commit-bug]): a new leader drops the uncommitted suffix of
-    the adopted log instead of re-replicating it, losing any entry the
-    old leader had committed whose commit point had not yet propagated,
-    and reusing its opnum.  The oracle's commit-safety verdicts must
-    catch this. *)
-val planted_view_change_drop : bool ref
-
 (** Render a directory op the way ledger and oracle evidence do. *)
 val op_str : Weakset_store.Directory.op -> string
 

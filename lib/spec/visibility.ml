@@ -43,12 +43,6 @@ let pp_verdict fmt = function
       Format.fprintf fmt "VIOLATES (%d):@." (List.length vs);
       List.iter (fun v -> Format.fprintf fmt "  %a@." pp_violation v) vs
 
-(* Mutation-test hook (CI): inverting the membership axiom must make a
-   seeded VOPR run convict an otherwise healthy build — proof that the
-   unified engine, not some vestigial legacy path, is doing the
-   judging. *)
-let planted_axiom_mutation = ref false
-
 (* ------------------------------------------------------------------ *)
 (* Per-invocation checking                                            *)
 (* ------------------------------------------------------------------ *)
@@ -94,10 +88,14 @@ let a_yield_disciplined e =
           Elem.Set.equal ctx.post.Sstate.yielded (Elem.Set.add e ctx.pre.Sstate.yielded));
     ]
 
+(* Under [Mutation.Axiom_flip] the membership axiom is inverted: a
+   seeded VOPR run must then convict an otherwise healthy build — proof
+   that the unified engine, not some vestigial legacy path, is doing the
+   judging. *)
 let a_yield_member e =
   pred "e ∈ s (at the spec's vintage)" (fun ctx ->
       let ok = Elem.Set.mem e (legal_pool ctx) in
-      if !planted_axiom_mutation then not ok else ok)
+      if Weakset_obs.Mutation.(armed Axiom_flip) then not ok else ok)
 
 let a_yield_reachable e =
   pred "e ∈ reachable(s)_pre" (fun ctx -> Elem.Set.mem e ctx.pre.Sstate.accessible)

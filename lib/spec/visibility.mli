@@ -46,11 +46,6 @@ val verdict_ok : verdict -> bool
 val pp_violation : Format.formatter -> violation -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** CI mutation hook: when set, the membership axiom is inverted, so a
-    healthy run must be convicted — proving the unified engine is live
-    on the checking path.  Never set outside the mutation test. *)
-val planted_axiom_mutation : bool ref
-
 (** Structure obligations shared by every config: a first-state exists,
     [yielded] starts empty and evolves only at suspends, termination is
     terminal. *)

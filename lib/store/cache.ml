@@ -21,12 +21,6 @@ type config = { capacity : int; ttl : float }
 
 let default_config = { capacity = 256; ttl = 30.0 }
 
-(* Planted bug for the VOPR mutation test: when armed, wire Inval
-   callbacks are silently dropped, so cached memberships go stale while
-   connected — exactly the coherence violation the Stale_beyond_lease
-   oracle verdict must catch. *)
-let planted_inval_drop = ref false
-
 type dir_entry = {
   d_version : Version.t;
   d_members : Oid.t list;
@@ -158,8 +152,11 @@ let store_dir t ~set_id ~version ~members ~lease =
         d_expires_at = granted +. lease;
       }
 
+(* Under [Mutation.Inval_drop] wire Inval callbacks are silently
+   dropped, so cached memberships go stale while connected — exactly the
+   coherence violation the Stale_beyond_lease oracle verdict must catch. *)
 let wire_inval t ~set_id ~version =
-  if not !planted_inval_drop then
+  if not (Weakset_obs.Mutation.(armed Inval_drop)) then
     match Hashtbl.find_opt t.dirs set_id with
     | None -> () (* nothing cached: the callback raced a local drop *)
     | Some _ ->

@@ -30,13 +30,6 @@ type mutation_policy =
     part of the handler runs — a clean no-op. *)
 type admission = { capacity : int }
 
-(** Mutation-testing hook for the VOPR [--planted-shed-bug] gate: when
-    armed, a shed [Dir_add]/[Dir_remove] applies its directory effect
-    anyway — outside consensus — before the [Overloaded] reply leaves,
-    so the shed is no longer a clean no-op and the oracle must flag the
-    resulting directory/log divergence. *)
-val planted_shed_after_apply : bool ref
-
 type t
 
 (** [create rpc node ?fetch_service ?dir_service ?lease_ttl ?admission ()]

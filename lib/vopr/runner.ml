@@ -20,9 +20,9 @@ module Monitor_online = Weakset_spec.Monitor_online
 module Figures = Weakset_spec.Figures
 module Bus = Weakset_obs.Bus
 module Event = Weakset_obs.Event
-module Digest = Weakset_obs.Digest
 module Json = Weakset_obs.Json
 module Flight = Weakset_obs.Flight
+module Mutation = Weakset_obs.Mutation
 
 type result = {
   plan : Gen.plan;
@@ -32,9 +32,10 @@ type result = {
   issues : Oracle.issue list;
   iterations : Oracle.iteration_input list;
   blackbox : Flight.dump list;
+  mutation : Mutation.t option;
+  step_cap : int;
 }
 
-let default_step_cap = 1_000_000
 let set_id = 1
 
 (* ------------------------------------------------------------------ *)
@@ -128,31 +129,18 @@ let spec_for plan sem =
     Semantics.window_spec_of sem
   else Semantics.spec_of ~no_failures:(plan.Gen.faults = []) sem
 
-let execute ?(step_cap = default_step_cap) plan =
+(* Builds [plan]'s world on [eng] and returns the post-run collector
+   (see {!Harness.run}); the collected world is the flight recorder, the
+   final virtual time and the judged iterations. *)
+let build plan eng =
   validate plan;
   let c = plan.Gen.config in
   let n = c.Gen.nodes in
-  let eng = Engine.create ~seed:plan.Gen.seed () in
   let bus = Engine.bus eng in
-  let digest = Digest.create () in
-  Bus.attach bus ~name:"vopr-digest" (Digest.sink digest);
   (* Always-on black box: triggers itself on spec violations and node
      crashes during the run; the oracle adds a post-run verdict trigger.
      Ring capacity is modest — dumps ride inside repro bundles. *)
   let flight = Flight.create ~capacity:256 ~debounce:100.0 bus in
-  let rpc_calls = ref 0 and rpc_dones = ref 0 in
-  (* Track which fibers are still alive, by name, so a leak verdict can
-     say who leaked.  A fiber is alive from Fiber_spawn until a Run_end
-     whose park is Park_done/Park_crash. *)
-  let fiber_state : (int, string) Hashtbl.t = Hashtbl.create 32 in
-  Bus.attach bus ~name:"vopr-rpc" (fun ev ->
-      match ev.Event.kind with
-      | Event.Rpc_call _ -> incr rpc_calls
-      | Event.Rpc_done _ -> incr rpc_dones
-      | Event.Fiber_spawn { fid; fiber } -> Hashtbl.replace fiber_state fid fiber
-      | Event.Run_end { fid; park = Event.Park_done | Event.Park_crash; _ } ->
-          Hashtbl.remove fiber_state fid
-      | _ -> ());
   let topo = Topology.create () in
   let nodes =
     match c.Gen.shape with
@@ -400,9 +388,10 @@ let execute ?(step_cap = default_step_cap) plan =
             | _ -> ())
           iter_ops)
   ;
-  let steps = Engine.run ~max_steps:step_cap eng in
-  (* Iterations still open (stuck or cut off by the step cap): close the
-     books so the oracle can judge what was recorded. *)
+  fun () ->
+  (* Collected once the engine stops.  Iterations still open (stuck or
+     cut off by the step cap): close the books so the oracle can judge
+     what was recorded. *)
   List.iter
     (fun r ->
       if not r.ir_finished then begin
@@ -427,16 +416,7 @@ let execute ?(step_cap = default_step_cap) plan =
         })
       !records
   in
-  let engine_crashes =
-    List.map
-      (fun c -> (c.Engine.crash_fiber, Printexc.to_string c.Engine.crash_exn))
-      (Engine.crashes eng)
-  in
-  let parked_fibers =
-    if Engine.live_fibers eng = 0 then []
-    else Hashtbl.fold (fun _ name acc -> name :: acc) fiber_state [] |> List.sort compare
-  in
-  let cache_evidence =
+  let cache =
     if not c.Gen.cache then None
     else
       (* How long an Inval can legitimately be in flight: the topology
@@ -466,44 +446,38 @@ let execute ?(step_cap = default_step_cap) plan =
           fault_windows;
         }
   in
-  let issues =
-    Oracle.judge
-      {
-        Oracle.iterations;
-        engine_crashes;
-        parked_fibers;
-        steps;
-        step_cap;
-        unmatched_rpcs = !rpc_calls - !rpc_dones;
-        cache = cache_evidence;
-        (* Random VOPR plans do not deploy a replication group; the
-           table-driven cluster scenarios (Scenario) build this. *)
-        repl = None;
-      }
-  in
+  (* Random VOPR plans do not deploy a replication group; the
+     table-driven cluster scenarios (Scenario) build that evidence. *)
+  ((flight, Engine.now eng, iterations), { Harness.iterations; cache; repl = None })
+
+let execute ?(step_cap = Harness.default_step_cap) ?mutation plan =
+  let judged = Harness.run ~seed:plan.Gen.seed ~step_cap ~mutation (build plan) in
+  let flight, time, iterations = judged.world in
   (* One post-run trigger for the whole verdict (the first issue names
      the incident); mid-run violations already dumped with hot rings, and
      the debounce keeps this from double-dumping the same incident. *)
-  (match issues with
+  (match judged.issues with
   | [] -> ()
   | issue :: _ ->
-      Flight.trigger flight ~time:(Engine.now eng)
+      Flight.trigger flight ~time
         (Flight.Oracle_verdict
            { category = Oracle.category issue; detail = Oracle.describe issue }));
   {
     plan;
-    digest = Digest.value digest;
-    events = Digest.count digest;
-    steps;
-    issues;
+    digest = judged.digest;
+    events = judged.events;
+    steps = judged.steps;
+    issues = judged.issues;
     iterations;
     blackbox = Flight.dumps flight;
+    mutation;
+    step_cap;
   }
 
-let sweep ?step_cap ?(progress = fun _ _ -> ()) seeds =
+let sweep ?step_cap ?mutation ?(progress = fun _ _ -> ()) seeds =
   List.map
     (fun seed ->
-      let r = execute ?step_cap (Gen.generate seed) in
+      let r = execute ?step_cap ?mutation (Gen.generate seed) in
       progress seed r;
       (seed, r))
     seeds
@@ -512,42 +486,56 @@ let sweep ?step_cap ?(progress = fun _ _ -> ()) seeds =
 (* Repro bundles                                                      *)
 (* ------------------------------------------------------------------ *)
 
+type subject = Plan of Gen.plan | Row of string
+
 type bundle = {
-  b_plan : Gen.plan;
-  b_planted : bool;
-  b_planted_cache : bool;
-  b_planted_spec : bool;
+  b_subject : subject;
+  b_mutation : Mutation.t option;
+  b_step_cap : int;
   b_digest : string;
   b_events : int;
   b_issues : Oracle.issue list;
   b_blackbox : string list;
 }
 
-let bundle_of_result r =
+let bundle_of_result (r : result) =
   {
-    b_plan = r.plan;
-    b_planted = !Weakset_core.Impl_common.planted_grow_only_drop;
-    b_planted_cache = !Cache.planted_inval_drop;
-    b_planted_spec = !Weakset_spec.Visibility.planted_axiom_mutation;
+    b_subject = Plan r.plan;
+    b_mutation = r.mutation;
+    b_step_cap = r.step_cap;
     b_digest = r.digest;
     b_events = r.events;
     b_issues = r.issues;
     b_blackbox = List.map (fun d -> d.Flight.d_json) r.blackbox;
   }
 
+let bundle_of_outcome (o : Scenario.outcome) =
+  {
+    b_subject = Row o.o_name;
+    b_mutation = o.o_mutation;
+    b_step_cap = o.o_step_cap;
+    b_digest = o.o_digest;
+    b_events = o.o_events;
+    b_issues = o.o_issues;
+    b_blackbox = [];
+  }
+
+let json_str s = Printf.sprintf {|"%s"|} (Event.json_escape s)
+
 (* Dumps are embedded as JSON *strings* (escaped), not nested documents,
    so a bundle round-trips them byte-exactly through our writer-less
    JSON reader. *)
 let bundle_to_json b =
   Printf.sprintf
-    {|{"version":1,"planted_bug":%b,"planted_cache_bug":%b,"planted_spec_bug":%b,"plan":%s,"digest":"%s","events":%d,"issues":[%s],"blackbox":[%s]}|}
-    b.b_planted b.b_planted_cache b.b_planted_spec (Gen.plan_to_json b.b_plan) b.b_digest
-    b.b_events
+    {|{"version":2,"mutation":%s,"step_cap":%d,%s,"digest":"%s","events":%d,"issues":[%s],"blackbox":[%s]}|}
+    (match b.b_mutation with None -> "null" | Some m -> json_str (Mutation.to_string m))
+    b.b_step_cap
+    (match b.b_subject with
+    | Plan p -> {|"plan":|} ^ Gen.plan_to_json p
+    | Row name -> {|"row":|} ^ json_str name)
+    b.b_digest b.b_events
     (String.concat "," (List.map Oracle.issue_to_json b.b_issues))
-    (String.concat ","
-       (List.map
-          (fun d -> Printf.sprintf {|"%s"|} (Event.json_escape d))
-          b.b_blackbox))
+    (String.concat "," (List.map json_str b.b_blackbox))
 
 let ( let* ) = Result.bind
 
@@ -564,52 +552,46 @@ let bundle_of_string s =
   match Json.of_string_opt s with
   | None -> Error "malformed JSON"
   | Some j ->
-      let* plan_j =
-        match Json.member "plan" j with Some p -> Ok p | None -> Error "missing field \"plan\""
+      let field name conv =
+        match Option.bind (Json.member name j) conv with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "missing field %S" name)
       in
-      let* plan = Gen.plan_of_json plan_j in
-      let* digest =
-        match Option.bind (Json.member "digest" j) Json.to_string with
-        | Some d -> Ok d
-        | None -> Error "missing field \"digest\""
+      let* version = field "version" Json.to_int in
+      let* () =
+        if version = 2 then Ok ()
+        else Error (Printf.sprintf "unsupported bundle version %d" version)
       in
-      let* events =
-        match Option.bind (Json.member "events" j) Json.to_int with
-        | Some e -> Ok e
-        | None -> Error "missing field \"events\""
+      let* subject =
+        match (Json.member "plan" j, Option.bind (Json.member "row" j) Json.to_string) with
+        | Some p, None -> Result.map (fun p -> Plan p) (Gen.plan_of_json p)
+        | None, Some name when Option.is_some (Scenario.find name) -> Ok (Row name)
+        | None, Some name -> Error (Printf.sprintf "unknown scenario row %S" name)
+        | _ -> Error "expected exactly one of \"plan\" and \"row\""
       in
-      let* issues =
-        match Option.bind (Json.member "issues" j) Json.to_list with
-        | Some l -> map_result Oracle.issue_of_json l
-        | None -> Error "missing field \"issues\""
+      let* mutation =
+        match Json.member "mutation" j with
+        | Some Json.Null -> Ok None
+        | Some (Json.Str name) -> (
+            match Mutation.of_string name with
+            | Some m -> Ok (Some m)
+            | None -> Error (Printf.sprintf "unknown mutation %S" name))
+        | _ -> Error "missing field \"mutation\""
       in
-      let planted =
-        match Json.member "planted_bug" j with Some (Json.Bool b) -> b | _ -> false
-      in
-      let planted_cache =
-        match Json.member "planted_cache_bug" j with Some (Json.Bool b) -> b | _ -> false
-      in
-      (* Absent in bundles written before the parametric checker existed:
-         default to unarmed. *)
-      let planted_spec =
-        match Json.member "planted_spec_bug" j with Some (Json.Bool b) -> b | _ -> false
-      in
-      (* Absent in bundles written before the flight recorder existed. *)
-      let blackbox =
-        match Json.member "blackbox" j with
-        | Some (Json.Arr l) -> List.filter_map Json.to_string l
-        | _ -> []
-      in
+      let* step_cap = field "step_cap" Json.to_int in
+      let* digest = field "digest" Json.to_string in
+      let* events = field "events" Json.to_int in
+      let* issues = Result.bind (field "issues" Json.to_list) (map_result Oracle.issue_of_json) in
+      let* blackbox = field "blackbox" Json.to_list in
       Ok
         {
-          b_plan = plan;
-          b_planted = planted;
-          b_planted_cache = planted_cache;
-          b_planted_spec = planted_spec;
+          b_subject = subject;
+          b_mutation = mutation;
+          b_step_cap = step_cap;
           b_digest = digest;
           b_events = events;
           b_issues = issues;
-          b_blackbox = blackbox;
+          b_blackbox = List.filter_map Json.to_string blackbox;
         }
 
 let write_bundle ~path b =
@@ -624,33 +606,27 @@ let read_bundle ~path =
   | s -> bundle_of_string s
 
 type replay_outcome =
-  | Reproduced of result
-  | Digest_mismatch of { got : result; expected : string }
-  | Verdict_mismatch of result
+  | Reproduced of bundle
+  | Digest_mismatch of bundle
+  | Verdict_mismatch of bundle
 
-(* The bundle records whether the planted bug was armed at record time,
-   so a replay in a fresh process reproduces the same binary behaviour. *)
-let replay ?step_cap b =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
-  let cflag = Cache.planted_inval_drop in
-  let sflag = Weakset_spec.Visibility.planted_axiom_mutation in
-  let saved = !flag and csaved = !cflag and ssaved = !sflag in
-  flag := b.b_planted;
-  cflag := b.b_planted_cache;
-  sflag := b.b_planted_spec;
-  let got =
-    Fun.protect
-      ~finally:(fun () ->
-        flag := saved;
-        cflag := csaved;
-        sflag := ssaved)
-      (fun () -> execute ?step_cap b.b_plan)
-  in
-  if got.digest <> b.b_digest || got.events <> b.b_events then
-    Digest_mismatch { got; expected = b.b_digest }
+(* Re-record the bundle's subject under its own mutation and step cap,
+   so a replay in a fresh process needs nothing but the bundle. *)
+let rerecord b =
+  let step_cap = b.b_step_cap and mutation = b.b_mutation in
+  match b.b_subject with
+  | Plan plan -> bundle_of_result (execute ~step_cap ?mutation plan)
+  | Row name -> (
+      match Scenario.find name with
+      | Some row -> bundle_of_outcome (Scenario.run ~step_cap ?mutation row)
+      | None -> invalid_arg (Printf.sprintf "Vopr.Runner.replay: unknown scenario row %S" name))
+
+let replay b =
+  let got = rerecord b in
+  if got.b_digest <> b.b_digest || got.b_events <> b.b_events then Digest_mismatch got
   else
     let matches =
-      match (b.b_issues, got.issues) with
+      match (b.b_issues, got.b_issues) with
       | [], [] -> true
       | recorded, now -> Oracle.same_failure recorded now
     in

@@ -29,54 +29,60 @@ type result = {
       (** flight-recorder dumps the run triggered (spec violations and
           node crashes mid-run, plus one post-run oracle verdict when the
           run failed), oldest first; deterministic per plan *)
+  mutation : Weakset_obs.Mutation.t option;  (** the mutation armed for the run *)
+  step_cap : int;  (** the engine step cap the run had *)
 }
 
-(** Default step cap (events processed) before a run is declared a
-    livelock. *)
-val default_step_cap : int
+(** [execute plan] runs [plan] with [mutation] armed (default: none)
+    and judges it; [step_cap] defaults to {!Harness.default_step_cap}. *)
+val execute : ?step_cap:int -> ?mutation:Weakset_obs.Mutation.t -> Gen.plan -> result
 
-val execute : ?step_cap:int -> Gen.plan -> result
-
-(** [sweep ?step_cap ?progress seeds] generates and executes one plan per
-    seed, calling [progress] after each. *)
+(** [sweep ?step_cap ?mutation ?progress seeds] generates and executes
+    one plan per seed, calling [progress] after each. *)
 val sweep :
-  ?step_cap:int -> ?progress:(int64 -> result -> unit) -> int64 list -> (int64 * result) list
+  ?step_cap:int ->
+  ?mutation:Weakset_obs.Mutation.t ->
+  ?progress:(int64 -> result -> unit) ->
+  int64 list ->
+  (int64 * result) list
 
-(** {1 Repro bundles} *)
+(** {1 Repro bundles}
+
+    One bundle format serves both executors: its subject is a generated
+    plan or the name of a {!Scenario.table} row, and it records the
+    mutation and step cap the run had, so {!replay} needs nothing else. *)
+
+type subject = Plan of Gen.plan | Row of string
 
 type bundle = {
-  b_plan : Gen.plan;
-  b_planted : bool;
-      (** was {!Weakset_core.Impl_common.planted_grow_only_drop} armed when
-          this bundle was recorded?  {!replay} restores it for the rerun. *)
-  b_planted_cache : bool;
-      (** likewise for {!Weakset_store.Cache.planted_inval_drop} *)
-  b_planted_spec : bool;
-      (** likewise for {!Weakset_spec.Visibility.planted_axiom_mutation}
-          (absent in older bundles; parses as [false]) *)
-  b_digest : string;  (** expected trace digest of replaying [b_plan] *)
+  b_subject : subject;
+  b_mutation : Weakset_obs.Mutation.t option;  (** armed again by {!replay} *)
+  b_step_cap : int;  (** the step cap {!replay} runs with *)
+  b_digest : string;  (** expected trace digest of replaying the subject *)
   b_events : int;
   b_issues : Oracle.issue list;  (** the recorded oracle verdict *)
   b_blackbox : string list;
       (** black-box dump documents captured at record time (see
           {!Weakset_obs.Flight}); embedded as escaped JSON strings so
           they round-trip byte-exactly.  Replays regenerate identical
-          dumps, so they are not part of the replay comparison.  Absent
-          in older bundles; parses as [[]]. *)
+          dumps, so they are not part of the replay comparison.  Scenario
+          rows record none. *)
 }
 
 val bundle_of_result : result -> bundle
+val bundle_of_outcome : Scenario.outcome -> bundle
 val bundle_to_json : bundle -> string
 val bundle_of_string : string -> (bundle, string) Stdlib.result
 val write_bundle : path:string -> bundle -> unit
 val read_bundle : path:string -> (bundle, string) Stdlib.result
 
-(** Re-execute a bundle's plan and compare against its recorded digest
-    and verdict.  [`Reproduced] means digest, event count and failure
-    categories all match. *)
+(** Re-record a bundle's subject and compare against its recorded
+    digest and verdict; each case carries the re-recorded bundle.
+    [Reproduced] means digest, event count and failure categories all
+    match.  Raises [Invalid_argument] for a row no longer in the table. *)
 type replay_outcome =
-  | Reproduced of result
-  | Digest_mismatch of { got : result; expected : string }
-  | Verdict_mismatch of result
+  | Reproduced of bundle
+  | Digest_mismatch of bundle
+  | Verdict_mismatch of bundle
 
-val replay : ?step_cap:int -> bundle -> replay_outcome
+val replay : bundle -> replay_outcome

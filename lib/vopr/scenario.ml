@@ -11,9 +11,7 @@ module Protocol = Weakset_store.Protocol
 module Oid = Weakset_store.Oid
 module Svalue = Weakset_store.Svalue
 module Group = Weakset_repl.Group
-module Bus = Weakset_obs.Bus
-module Event = Weakset_obs.Event
-module Digest = Weakset_obs.Digest
+module Mutation = Weakset_obs.Mutation
 
 (* Replicas are named r0..r(n-1) in scenario prose and addressed by
    index here; the interpreter adds one extra node for the client. *)
@@ -38,7 +36,6 @@ type t = {
 
 let set_id = 1
 let heal_margin = 30.0
-let default_step_cap = 1_000_000
 
 (* ------------------------------------------------------------------ *)
 (* Validation: a malformed table entry should fail loudly at load,    *)
@@ -108,37 +105,17 @@ let fold_members ops =
           else acc)
     [] ops
 
-type run_stats = {
-  digest : string;
-  events : int;
-  steps : int;
-  issues : Oracle.issue list;
-  committed : int;
-  ops_ok : int;
-  ops_failed : int;
-}
+(* The seed is a pure function of the scenario name: every run of a
+   table entry replays the same virtual history, byte for byte. *)
+let seed_of scn = Int64.of_int (Hashtbl.hash scn.name)
 
-let execute ?(step_cap = default_step_cap) scn =
+(* Builds [scn]'s world on [eng] and returns the post-run collector (see
+   {!Harness.run}); the collected world is [(committed, ops_ok,
+   ops_failed)]. *)
+let build scn eng =
   validate scn;
   let n = scn.replicas in
   let majority = (n / 2) + 1 in
-  (* The seed is a pure function of the scenario name: every run of a
-     table entry replays the same virtual history, byte for byte. *)
-  let seed = Int64.of_int (Hashtbl.hash scn.name) in
-  let eng = Engine.create ~seed () in
-  let bus = Engine.bus eng in
-  let digest = Digest.create () in
-  Bus.attach bus ~name:"scenario-digest" (Digest.sink digest);
-  let rpc_calls = ref 0 and rpc_dones = ref 0 in
-  let fiber_state : (int, string) Hashtbl.t = Hashtbl.create 32 in
-  Bus.attach bus ~name:"scenario-accounting" (fun ev ->
-      match ev.Event.kind with
-      | Event.Rpc_call _ -> incr rpc_calls
-      | Event.Rpc_done _ -> incr rpc_dones
-      | Event.Fiber_spawn { fid; fiber } -> Hashtbl.replace fiber_state fid fiber
-      | Event.Run_end { fid; park = Event.Park_done | Event.Park_crash; _ } ->
-          Hashtbl.remove fiber_state fid
-      | _ -> ());
   let topo = Topology.create () in
   let nodes = Topology.clique topo (n + 1) ~latency:0.5 in
   let client_node = nodes.(n) in
@@ -174,7 +151,7 @@ let execute ?(step_cap = default_step_cap) scn =
   (* Storm clients draw their retry jitter from split streams of a
      scenario-seeded rng, so the whole backoff schedule is a pure
      function of the scenario name. *)
-  let storm_rng = Rng.create seed in
+  let storm_rng = Rng.create (seed_of scn) in
   let probes = ref [] in
   let quorum_connected () =
     let up = List.filter (Topology.node_up topo) member_nodes in
@@ -272,7 +249,8 @@ let execute ?(step_cap = default_step_cap) scn =
           if i < n && not (Topology.node_up topo node) then Fault.recover_node fault node)
         nodes);
   probe (scn.until -. 2.0);
-  let steps = Engine.run ~max_steps:step_cap eng in
+  fun () ->
+  (* Collected once the engine stops. *)
   let r_final_logs =
     List.filter_map
       (fun g ->
@@ -312,40 +290,12 @@ let execute ?(step_cap = default_step_cap) scn =
         else None)
       (List.init n Fun.id)
   in
-  let evidence =
-    { Oracle.r_ledger; r_final_logs; r_probes = List.rev !probes; r_dir_vs_log }
-  in
-  let engine_crashes =
-    List.map
-      (fun c -> (c.Engine.crash_fiber, Printexc.to_string c.Engine.crash_exn))
-      (Engine.crashes eng)
-  in
-  let parked_fibers =
-    if Engine.live_fibers eng = 0 then []
-    else Hashtbl.fold (fun _ name acc -> name :: acc) fiber_state [] |> List.sort compare
-  in
-  let issues =
-    Oracle.judge
-      {
-        Oracle.iterations = [];
-        engine_crashes;
-        parked_fibers;
-        steps;
-        step_cap;
-        unmatched_rpcs = !rpc_calls - !rpc_dones;
-        cache = None;
-        repl = Some evidence;
-      }
-  in
-  {
-    digest = Digest.value digest;
-    events = Digest.count digest;
-    steps;
-    issues;
-    committed = List.length r_ledger;
-    ops_ok = !ops_ok;
-    ops_failed = !ops_failed;
-  }
+  let repl = { Oracle.r_ledger; r_final_logs; r_probes = List.rev !probes; r_dir_vs_log } in
+  ( (List.length r_ledger, !ops_ok, !ops_failed),
+    { Harness.iterations = []; cache = None; repl = Some repl } )
+
+let execute ~step_cap ~mutation scn =
+  Harness.run ~seed:(seed_of scn) ~step_cap ~mutation (build scn)
 
 type outcome = {
   o_name : string;
@@ -356,34 +306,30 @@ type outcome = {
   o_committed : int;
   o_ops_ok : int;
   o_ops_failed : int;
+  o_mutation : Mutation.t option;
+  o_step_cap : int;
 }
 
 let passed o = o.o_deterministic && o.o_issues = []
 
-let run ?step_cap ?(planted = false) ?(planted_shed = false) scn =
-  let saved = !Group.planted_view_change_drop in
-  let saved_shed = !Node_server.planted_shed_after_apply in
-  Group.planted_view_change_drop := planted;
-  Node_server.planted_shed_after_apply := planted_shed;
-  Fun.protect
-    ~finally:(fun () ->
-      Group.planted_view_change_drop := saved;
-      Node_server.planted_shed_after_apply := saved_shed)
-    (fun () ->
-      (* Run the whole virtual history twice: a table entry only counts
-         as passing if the replay is byte-identical. *)
-      let a = execute ?step_cap scn in
-      let b = execute ?step_cap scn in
-      {
-        o_name = scn.name;
-        o_digest = a.digest;
-        o_events = a.events;
-        o_deterministic = String.equal a.digest b.digest && a.events = b.events;
-        o_issues = a.issues;
-        o_committed = a.committed;
-        o_ops_ok = a.ops_ok;
-        o_ops_failed = a.ops_failed;
-      })
+let run ?(step_cap = Harness.default_step_cap) ?mutation scn =
+  (* Run the whole virtual history twice: a table entry only counts as
+     passing if the replay is byte-identical. *)
+  let a = execute ~step_cap ~mutation scn in
+  let b = execute ~step_cap ~mutation scn in
+  let committed, ops_ok, ops_failed = a.world in
+  {
+    o_name = scn.name;
+    o_digest = a.digest;
+    o_events = a.events;
+    o_deterministic = String.equal a.digest b.digest && a.events = b.events;
+    o_issues = a.issues;
+    o_committed = committed;
+    o_ops_ok = ops_ok;
+    o_ops_failed = ops_failed;
+    o_mutation = mutation;
+    o_step_cap = step_cap;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The table.                                                         *)

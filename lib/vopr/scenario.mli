@@ -64,18 +64,21 @@ type outcome = {
   o_committed : int;  (** ledger length: ops acked as committed *)
   o_ops_ok : int;
   o_ops_failed : int;
+  o_mutation : Weakset_obs.Mutation.t option;  (** the mutation armed for both runs *)
+  o_step_cap : int;  (** the engine step cap of each run *)
 }
 
 val passed : outcome -> bool
 
-(** [run scn] executes [scn] twice and judges it.  [planted] arms
-    {!Weakset_repl.Group.planted_view_change_drop} for the duration —
-    the commit-safety verdicts must then fire on any scenario that
-    elects a new leader with traffic in flight.  [planted_shed] arms
-    {!Weakset_store.Node_server.planted_shed_after_apply} — the oracle's
-    shed-divergence verdict must then fire on any scenario that sheds a
-    mutation (e.g. [retry-storm]). *)
-val run : ?step_cap:int -> ?planted:bool -> ?planted_shed:bool -> t -> outcome
+(** [run scn] executes [scn] twice and judges it, with [mutation]
+    armed in each execution.  Under
+    {!Weakset_obs.Mutation.View_change_drop} the commit-safety verdicts
+    must fire on any scenario that elects a new leader with traffic in
+    flight; under {!Weakset_obs.Mutation.Shed_after_apply} the
+    shed-divergence verdict must fire on any scenario that sheds a
+    mutation (e.g. [retry-storm]).  [step_cap] defaults to
+    {!Harness.default_step_cap}. *)
+val run : ?step_cap:int -> ?mutation:Weakset_obs.Mutation.t -> t -> outcome
 
 (** The shipped table (≥ 12 rows, all expected to pass unplanted). *)
 val table : t list

@@ -275,11 +275,8 @@ let test_backoff_deterministic () =
    the same schedule leaks the add — proving this test (and the VOPR
    shed-divergence oracle built on the same premise) can convict. *)
 let shed_add_run ~planted =
-  let saved = !Node_server.planted_shed_after_apply in
-  Fun.protect
-    ~finally:(fun () -> Node_server.planted_shed_after_apply := saved)
+  Weakset_obs.Mutation.(with_armed (if planted then Some Shed_after_apply else None))
     (fun () ->
-      Node_server.planted_shed_after_apply := planted;
       let cl = make_cluster ~host:false () in
       let sref =
         Weak_set.provision ~set_id ~coordinator_server:cl.servers.(0)

@@ -381,30 +381,23 @@ let test_slo_alert_triggers_flight_debounced () =
 (* End to end through the VOPR runner                                  *)
 (* ------------------------------------------------------------------ *)
 
+let execute_planted seed = Runner.execute ~mutation:Grow_only_drop (Gen.generate seed)
+
 (* First seed in the CI smoke range whose planted-bug run fails. *)
 let failing_planted_plan () =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
   let rec scan seed =
     if seed >= 33L then Alcotest.fail "no failing planted-bug seed in 0..32"
     else
-      let r = Runner.execute (Gen.generate seed) in
+      let r = execute_planted seed in
       if r.Runner.issues <> [] then (seed, r) else scan (Int64.add seed 1L)
   in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) (fun () -> scan 0L)
+  scan 0L
 
 let test_vopr_blackbox_end_to_end () =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
   let seed, r = failing_planted_plan () in
   checkb "failing run carries dumps" true (r.Runner.blackbox <> []);
   (* Byte-identical across replays of the same seed. *)
-  let saved = !flag in
-  flag := true;
-  let r2 =
-    Fun.protect ~finally:(fun () -> flag := saved) (fun () ->
-        Runner.execute (Gen.generate seed))
-  in
+  let r2 = execute_planted seed in
   check
     (Alcotest.list Alcotest.string)
     "dumps byte-identical across replays"
@@ -428,7 +421,7 @@ let test_vopr_blackbox_end_to_end () =
     r.Runner.blackbox;
   checkb "an exemplar resolves to a recorded span" true (!resolved > 0);
   (* Dumps ride inside repro bundles and round-trip byte-exactly. *)
-  let b = { (Runner.bundle_of_result r) with Runner.b_planted = true } in
+  let b = Runner.bundle_of_result r in
   match Runner.bundle_of_string (Runner.bundle_to_json b) with
   | Error m -> Alcotest.fail m
   | Ok b' ->

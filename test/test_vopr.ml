@@ -1,13 +1,16 @@
 (* Tests for weakset_vopr: generator determinism and stream independence
    (qcheck), plan/bundle JSON round-trips, digest-stable re-execution,
-   and the mutation test the fuzzer must pass to be trusted: with the
-   planted grow-only bug armed it finds, shrinks and replays a violation
-   within a bounded seed range; with the bug off the same range is clean. *)
+   and the mutation tests the fuzzer must pass to be trusted: with each
+   planted bug the runner reaches armed it finds, shrinks and replays a
+   violation within a bounded seed range; with none armed the same range
+   is clean. *)
 
 module Gen = Weakset_vopr.Gen
 module Runner = Weakset_vopr.Runner
 module Oracle = Weakset_vopr.Oracle
 module Shrink = Weakset_vopr.Shrink
+module Scenario = Weakset_vopr.Scenario
+module Mutation = Weakset_obs.Mutation
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -15,27 +18,9 @@ let check_string = Alcotest.(check string)
 
 let seeds first count = List.init count (fun i -> Int64.of_int (first + i))
 
-(* The mutation-test seed range (§ISSUE): the planted bug must surface
-   within at most 64 seeds. *)
+(* The mutation-test seed range: each planted bug must surface within
+   at most 64 seeds. *)
 let mutation_range = seeds 0 64
-
-let with_planted_bug armed f =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
-  let saved = !flag in
-  flag := armed;
-  Fun.protect ~finally:(fun () -> flag := saved) f
-
-let with_planted_cache_bug armed f =
-  let flag = Weakset_store.Cache.planted_inval_drop in
-  let saved = !flag in
-  flag := armed;
-  Fun.protect ~finally:(fun () -> flag := saved) f
-
-let with_planted_spec_bug armed f =
-  let flag = Weakset_spec.Visibility.planted_axiom_mutation in
-  let saved = !flag in
-  flag := armed;
-  Fun.protect ~finally:(fun () -> flag := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Generator                                                          *)
@@ -104,127 +89,122 @@ let test_execute_digest_stable () =
   check_int "same event count" a.Runner.events b.Runner.events;
   check_int "same step count" a.Runner.steps b.Runner.steps
 
+(* Three bundles — a plain plan, a plan recorded with a mutation armed,
+   and a scenario row — each survive JSON byte-exactly; and every
+   mutation's name parses back to it. *)
 let test_bundle_roundtrip () =
-  let result = Runner.execute (Gen.generate 5L) in
-  let bundle = Runner.bundle_of_result result in
-  match Runner.bundle_of_string (Runner.bundle_to_json bundle) with
-  | Error e -> Alcotest.failf "bundle parse error: %s" e
-  | Ok bundle' ->
-      check_string "re-serialization identical" (Runner.bundle_to_json bundle)
-        (Runner.bundle_to_json bundle');
-      check_string "digest preserved" bundle.Runner.b_digest bundle'.Runner.b_digest;
-      check_bool "plan preserved" true (bundle'.Runner.b_plan = bundle.Runner.b_plan)
+  let roundtrip what bundle =
+    match Runner.bundle_of_string (Runner.bundle_to_json bundle) with
+    | Error e -> Alcotest.failf "%s: bundle parse error: %s" what e
+    | Ok bundle' ->
+        check_string (what ^ ": re-serialization identical") (Runner.bundle_to_json bundle)
+          (Runner.bundle_to_json bundle');
+        check_bool (what ^ ": every field preserved") true (bundle' = bundle)
+  in
+  roundtrip "plan" (Runner.bundle_of_result (Runner.execute (Gen.generate 5L)));
+  let armed = Runner.bundle_of_result (Runner.execute ~mutation:Inval_drop (Gen.generate 5L)) in
+  check_bool "armed mutation recorded" true (armed.Runner.b_mutation = Some Mutation.Inval_drop);
+  roundtrip "armed plan" armed;
+  (match Scenario.find "steady-state" with
+  | None -> Alcotest.fail "steady-state missing from the table"
+  | Some row ->
+      let b = Runner.bundle_of_outcome (Scenario.run row) in
+      check_bool "row subject" true (b.Runner.b_subject = Runner.Row "steady-state");
+      roundtrip "scenario row" b);
+  List.iter
+    (fun m ->
+      let name = Mutation.to_string m in
+      check_bool ("of_string inverts to_string: " ^ name) true (Mutation.of_string name = Some m))
+    Mutation.all
+
+let has_category cat issues = List.exists (fun i -> Oracle.category i = cat) issues
 
 let test_replay_reproduces () =
   let result = Runner.execute (Gen.generate 7L) in
   match Runner.replay (Runner.bundle_of_result result) with
-  | Runner.Reproduced r -> check_string "replay digest" result.Runner.digest r.Runner.digest
+  | Runner.Reproduced r -> check_string "replay digest" result.Runner.digest r.Runner.b_digest
   | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch on replay"
   | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch on replay"
+
+(* A bundle recorded under a small step cap replays under that cap: the
+   run is cut off the same way and convicted the same way, with no cap
+   passed to replay. *)
+let test_replay_uses_recorded_step_cap () =
+  let result = Runner.execute ~step_cap:300 (Gen.generate 3L) in
+  check_bool "the cap cut the run off" true (has_category "steps-exhausted" result.Runner.issues);
+  match Runner.replay (Runner.bundle_of_result result) with
+  | Runner.Reproduced r ->
+      check_bool "replay reports steps-exhausted" true
+        (has_category "steps-exhausted" r.Runner.b_issues)
+  | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch on replay"
+  | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch on replay"
+
+(* An execution that raises (here: plan validation, inside the armed
+   scope) still disarms its mutation. *)
+let test_mutation_disarmed_after_raise () =
+  let plan = Gen.generate 3L in
+  let bad = { plan with Gen.config = { plan.Gen.config with Gen.nodes = 3 } } in
+  (match Runner.execute ~mutation:Grow_only_drop bad with
+  | _ -> Alcotest.fail "a 3-node plan must fail validation"
+  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun m -> check_bool ("disarmed: " ^ Mutation.to_string m) false (Mutation.armed m))
+    Mutation.all
 
 (* ------------------------------------------------------------------ *)
 (* Mutation test                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_swarm_clean_without_bug () =
-  with_planted_bug false (fun () ->
-      List.iter
-        (fun (seed, r) ->
-          if r.Runner.issues <> [] then
-            Alcotest.failf "seed %Ld flagged a healthy build: %s" seed
-              (String.concat "; " (List.map Oracle.describe r.Runner.issues)))
-        (Runner.sweep mutation_range))
+  List.iter
+    (fun (seed, r) ->
+      if r.Runner.issues <> [] then
+        Alcotest.failf "seed %Ld flagged a healthy build: %s" seed
+          (String.concat "; " (List.map Oracle.describe r.Runner.issues)))
+    (Runner.sweep mutation_range)
 
-let test_swarm_finds_shrinks_and_replays_planted_bug () =
-  with_planted_bug true (fun () ->
-      let failures =
-        List.filter (fun (_, r) -> r.Runner.issues <> []) (Runner.sweep mutation_range)
-      in
-      check_bool "planted bug found within 64 seeds" true (failures <> []);
-      (* Shrink the first failure to a handful of schedule events. *)
-      let _, failing = List.hd failures in
-      let shrunk, issues, stats =
-        Shrink.minimize
-          ~run:(fun p -> (Runner.execute p).Runner.issues)
-          ~issues:failing.Runner.issues failing.Runner.plan
-      in
-      check_bool "shrunk to at most 10 events" true (Gen.event_count shrunk <= 10);
-      check_int "stats report the shrunk size" (Gen.event_count shrunk) stats.Shrink.final_events;
-      check_bool "shrunk plan still fails the same way" true
-        (Oracle.same_failure failing.Runner.issues issues);
-      (* The shrunk repro bundle replays byte-identically. *)
-      let result = Runner.execute shrunk in
-      match Runner.replay (Runner.bundle_of_result result) with
-      | Runner.Reproduced r ->
-          check_bool "replay reports the same failure" true
-            (Oracle.same_failure result.Runner.issues r.Runner.issues)
-      | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying shrunk bundle"
-      | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying shrunk bundle")
+(* One case per mutation the runner reaches: the test name, the mutation,
+   and the verdict that counts as conviction.
+   - The grow-only drop may surface as any issue.
+   - Dropped wire [Inval] callbacks must be convicted by the cache
+     oracle's [Stale_beyond_lease] verdict, not some incidental failure.
+   - The flipped membership axiom inside the parametric visibility
+     engine must be convicted as a [Spec_violation], since every honest
+     yield now reads as illegal.  This is what makes the one-engine
+     refactor safe: a single mutated axiom cannot hide. *)
+let mutation_cases =
+  [
+    ("finds, shrinks, replays planted bug", Mutation.Grow_only_drop, fun issues -> issues <> []);
+    ( "finds, shrinks, replays planted cache bug",
+      Mutation.Inval_drop,
+      has_category "stale-beyond-lease" );
+    ("finds, shrinks, replays planted spec bug", Mutation.Axiom_flip, has_category "spec-violation");
+  ]
 
-(* The second half of the mutation test: drop wire [Inval] callbacks on
-   the floor and the cache oracle must convict the cache layer — the
-   [Stale_beyond_lease] verdict, not some incidental failure — within
-   the same 64-seed budget, and the failure must shrink and replay like
-   any other. *)
-let test_swarm_finds_shrinks_and_replays_planted_cache_bug () =
-  with_planted_cache_bug true (fun () ->
-      let stale issues =
-        List.exists (fun i -> Oracle.category i = "stale-beyond-lease") issues
-      in
-      let failures =
-        List.filter (fun (_, r) -> stale r.Runner.issues) (Runner.sweep mutation_range)
-      in
-      check_bool "planted cache bug found within 64 seeds" true (failures <> []);
-      let _, failing = List.hd failures in
-      let shrunk, issues, stats =
-        Shrink.minimize
-          ~run:(fun p -> (Runner.execute p).Runner.issues)
-          ~issues:failing.Runner.issues failing.Runner.plan
-      in
-      check_bool "shrunk to at most 10 events" true (Gen.event_count shrunk <= 10);
-      check_int "stats report the shrunk size" (Gen.event_count shrunk) stats.Shrink.final_events;
-      check_bool "shrunk plan still fails the same way" true
-        (Oracle.same_failure failing.Runner.issues issues);
-      let result = Runner.execute shrunk in
-      match Runner.replay (Runner.bundle_of_result result) with
-      | Runner.Reproduced r ->
-          check_bool "replay reports the same failure" true
-            (Oracle.same_failure result.Runner.issues r.Runner.issues)
-      | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying shrunk bundle"
-      | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying shrunk bundle")
-
-(* The third mutation test aims at the checker itself: flip the shared
-   membership axiom inside the parametric visibility engine and the
-   swarm must convict the spec layer — a [Spec_violation], since every
-   honest yield now reads as illegal — within the same 64-seed budget,
-   shrinking and replaying like any other failure.  This is what makes
-   the one-engine refactor safe: a single mutated axiom cannot hide. *)
-let test_swarm_finds_shrinks_and_replays_planted_spec_bug () =
-  with_planted_spec_bug true (fun () ->
-      let spec_viol issues =
-        List.exists (fun i -> Oracle.category i = "spec-violation") issues
-      in
-      let failures =
-        List.filter (fun (_, r) -> spec_viol r.Runner.issues) (Runner.sweep mutation_range)
-      in
-      check_bool "planted spec bug found within 64 seeds" true (failures <> []);
-      let _, failing = List.hd failures in
-      let shrunk, issues, stats =
-        Shrink.minimize
-          ~run:(fun p -> (Runner.execute p).Runner.issues)
-          ~issues:failing.Runner.issues failing.Runner.plan
-      in
-      check_bool "shrunk to at most 10 events" true (Gen.event_count shrunk <= 10);
-      check_int "stats report the shrunk size" (Gen.event_count shrunk) stats.Shrink.final_events;
-      check_bool "shrunk plan still fails the same way" true
-        (Oracle.same_failure failing.Runner.issues issues);
-      let result = Runner.execute shrunk in
-      match Runner.replay (Runner.bundle_of_result result) with
-      | Runner.Reproduced r ->
-          check_bool "replay reports the same failure" true
-            (Oracle.same_failure result.Runner.issues r.Runner.issues)
-      | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying shrunk bundle"
-      | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying shrunk bundle")
+(* Each armed swarm convicts within 64 seeds; the first failure shrinks
+   to at most 10 schedule events and its bundle replays on its own. *)
+let test_swarm_finds_shrinks_and_replays mutation convicts () =
+  let failures =
+    List.filter (fun (_, r) -> convicts r.Runner.issues) (Runner.sweep ~mutation mutation_range)
+  in
+  check_bool "convicted within 64 seeds" true (failures <> []);
+  let _, failing = List.hd failures in
+  let shrunk, issues, stats =
+    Shrink.minimize
+      ~run:(fun p -> (Runner.execute ~mutation p).Runner.issues)
+      ~issues:failing.Runner.issues failing.Runner.plan
+  in
+  check_bool "shrunk to at most 10 events" true (Gen.event_count shrunk <= 10);
+  check_int "stats report the shrunk size" (Gen.event_count shrunk) stats.Shrink.final_events;
+  check_bool "shrunk plan still fails the same way" true
+    (Oracle.same_failure failing.Runner.issues issues);
+  let result = Runner.execute ~mutation shrunk in
+  match Runner.replay (Runner.bundle_of_result result) with
+  | Runner.Reproduced r ->
+      check_bool "replay reports the same failure" true
+        (Oracle.same_failure result.Runner.issues r.Runner.b_issues)
+  | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying shrunk bundle"
+  | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying shrunk bundle"
 
 (* ------------------------------------------------------------------ *)
 (* Shrink: unit tests against synthetic run predicates                *)
@@ -381,17 +361,18 @@ let () =
           Alcotest.test_case "digest-stable re-execution" `Quick test_execute_digest_stable;
           Alcotest.test_case "bundle JSON roundtrip" `Quick test_bundle_roundtrip;
           Alcotest.test_case "replay reproduces" `Quick test_replay_reproduces;
+          Alcotest.test_case "replay uses the recorded step cap" `Quick
+            test_replay_uses_recorded_step_cap;
+          Alcotest.test_case "mutation disarmed after a raise" `Quick
+            test_mutation_disarmed_after_raise;
         ] );
       ( "mutation",
-        [
-          Alcotest.test_case "clean swarm without bug" `Quick test_swarm_clean_without_bug;
-          Alcotest.test_case "finds, shrinks, replays planted bug" `Quick
-            test_swarm_finds_shrinks_and_replays_planted_bug;
-          Alcotest.test_case "finds, shrinks, replays planted cache bug" `Quick
-            test_swarm_finds_shrinks_and_replays_planted_cache_bug;
-          Alcotest.test_case "finds, shrinks, replays planted spec bug" `Quick
-            test_swarm_finds_shrinks_and_replays_planted_spec_bug;
-        ] );
+        Alcotest.test_case "clean swarm without bug" `Quick test_swarm_clean_without_bug
+        :: List.map
+             (fun (name, mutation, convicts) ->
+               Alcotest.test_case name `Quick
+                 (test_swarm_finds_shrinks_and_replays mutation convicts))
+             mutation_cases );
       ( "shrink",
         [
           Alcotest.test_case "minimizes to the single decisive op" `Quick
