@@ -26,10 +26,13 @@ fmt-fix:
 bench:
 	dune exec bench/main.exe
 
-# Smoke test for the regression gate: the committed baseline must compare
-# clean against itself (schema readable, every metric within tolerance).
+# Regression gate for the simulated cost model: regenerate the seeded
+# baseline suite (well under a second) and compare the committed
+# BENCH_baseline.json against the fresh run; any tracked metric that
+# regressed beyond the compare tolerance, or went missing, fails the check.
 bench-compare:
-	dune exec bench/main.exe -- --compare BENCH_baseline.json BENCH_baseline.json
+	dune exec bench/main.exe -- --baseline /tmp/bench-compare.json > /dev/null
+	dune exec bench/main.exe -- --compare BENCH_baseline.json /tmp/bench-compare.json
 
 # E12 head-to-head: all five design points (incl. the lin snapshot
 # iterator) on quiet + churn workloads, every row judged by the

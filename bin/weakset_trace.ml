@@ -331,17 +331,6 @@ let cmd_blackbox ~json files =
 
 (* --- saturation anatomy ----------------------------------------------- *)
 
-let lerp_percentile arr p =
-  let n = Array.length arr in
-  if n = 1 then arr.(0)
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = min (n - 1) (lo + 1) in
-    let w = rank -. float_of_int lo in
-    ((1.0 -. w) *. arr.(lo)) +. (w *. arr.(hi))
-  end
-
 (* Overload anatomy: the admission layer stamps a Custom "srv-shed"
    event per rejected request (detail carries "class=...") and the
    retry-budgeted client a Custom "client-retry" per retry decision
@@ -425,7 +414,7 @@ let cmd_saturation o files =
       | _ ->
           let durs = Array.of_list (List.filter_map Trace.span_dur requests) in
           Array.sort compare durs;
-          let cut = lerp_percentile durs o.tail_pct in
+          let cut = Weakset_obs.Percentile.linear durs o.tail_pct in
           let tail =
             List.filter
               (fun sp ->

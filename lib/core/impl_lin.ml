@@ -100,7 +100,4 @@ let next st () =
 
 let open_ ctx =
   let st = { ctx; pinned = None; yielded = Oid.Set.empty } in
-  Iterator.make ~next:(next st)
-    ~close:(fun () -> inst_detach ctx)
-    ?monitor:(Option.map Instrument.monitor ctx.instrument)
-    ()
+  Iterator.make ~next:(next st) ~close:(fun () -> inst_detach ctx)

@@ -99,7 +99,4 @@ let open_ ?(read_nearest_replica = false) ctx =
   let st =
     { ctx; read_nearest_replica; opened = false; yielded = Oid.Set.empty; dead = Oid.Set.empty }
   in
-  Iterator.make ~next:(next st)
-    ~close:(fun () -> inst_detach ctx)
-    ?monitor:(Option.map Instrument.monitor ctx.instrument)
-    ()
+  Iterator.make ~next:(next st) ~close:(fun () -> inst_detach ctx)

@@ -4,7 +4,7 @@ module Directory = Weakset_store.Directory
 module Oid = Weakset_store.Oid
 module Engine = Weakset_sim.Engine
 module Spec = Weakset_spec
-
+module Event = Weakset_obs.Event
 module Version = Weakset_store.Version
 
 type t = {
@@ -17,11 +17,20 @@ type t = {
   mutable unhook : unit -> unit;
 }
 
+(* Oid → spec element: id = oid number, label = printed oid. *)
 let elem_of_oid oid = Spec.Elem.make ~label:(Oid.to_string oid) (Oid.num oid)
 
-let to_eset oids = Oid.Set.fold (fun o acc -> Spec.Elem.Set.add (elem_of_oid o) acc) oids Spec.Elem.Set.empty
-
-let now t = Engine.now (Client.engine t.client)
+(* [oids] as spec elements in ascending id order, one per oid number.
+   Oids order by number first, so oids sharing a number (on different
+   homes) are adjacent and the first of them stands for all. *)
+let elems oids =
+  List.rev
+    (Oid.Set.fold
+       (fun o acc ->
+         match acc with
+         | e :: _ when Spec.Elem.id e = Oid.num o -> acc
+         | _ -> elem_of_oid o :: acc)
+       oids [])
 
 let truth t = Directory.members (Node_server.directory_truth t.server ~set_id:t.set_id)
 
@@ -66,30 +75,18 @@ let capture ?version ?linearised t =
   in
   t.universe <- Oid.Set.union t.universe members;
   let accessible = Client.reachable_oids t.client t.universe in
-  (to_eset members, to_eset accessible)
+  (elems members, elems accessible)
 
-let mutation_op = function
-  | Directory.Add o -> Spec.Sstate.Madd (elem_of_oid o)
-  | Directory.Remove o -> Spec.Sstate.Mremove (elem_of_oid o)
-
-(* Besides driving the monitor directly, every capture is published as a
-   [Spec_observe] event so Spec.Monitor_adapter can rebuild the same
-   computation from a recorded trace. *)
-let event_elem e =
-  { Weakset_obs.Event.elem_id = Spec.Elem.id e; elem_label = Spec.Elem.label e }
-
-let event_elems es = List.map event_elem (Spec.Elem.Set.elements es)
-
-let emit_observe t phase s accessible =
+(* Every capture is one [Spec_observe] event: published on the bus and
+   fed, as the same value, to this instrument's monitor, so a replay of
+   the recorded trace rebuilds exactly the computation judged here. *)
+let record ?version ?linearised t phase =
+  let s, accessible = capture ?version ?linearised t in
   let eng = Client.engine t.client in
-  Weakset_obs.Bus.emit (Engine.bus eng) ~time:(Engine.now eng)
-    (Weakset_obs.Event.Spec_observe
-       {
-         set_id = t.set_id;
-         phase;
-         s = event_elems s;
-         accessible = event_elems accessible;
-       })
+  let time = Engine.now eng in
+  let kind = Event.Spec_observe { set_id = t.set_id; phase; s; accessible } in
+  Weakset_obs.Bus.emit (Engine.bus eng) ~time kind;
+  Spec.Monitor.observe t.monitor ~time kind
 
 let attach ~client ~server ~set_id =
   (* Fail fast if the server does not coordinate this set. *)
@@ -99,7 +96,7 @@ let attach ~client ~server ~set_id =
       client;
       server;
       set_id;
-      monitor = Spec.Monitor.create ();
+      monitor = Spec.Monitor.create ~set_id;
       universe = Oid.Set.empty;
       history = [ (Directory.version dir, Directory.members dir) ];
       unhook = (fun () -> ());
@@ -112,51 +109,31 @@ let attach ~client ~server ~set_id =
         (match op with
         | Directory.Remove o | Directory.Add o -> t.universe <- Oid.Set.add o t.universe);
         t.history <- (Directory.version dir, Directory.members dir) :: t.history;
-        let s, accessible = capture t in
-        let mop = mutation_op op in
-        let ephase =
-          match mop with
-          | Spec.Sstate.Madd e ->
-              Weakset_obs.Event.Phase_mutation (Spec_add (event_elem e))
-          | Spec.Sstate.Mremove e ->
-              Weakset_obs.Event.Phase_mutation (Spec_remove (event_elem e))
-        in
-        emit_observe t ephase s accessible;
-        Spec.Monitor.observe_mutation t.monitor ~time:(now t) ~op:mop ~s ~accessible)
+        record t
+          (Event.Phase_mutation
+             (match op with
+             | Directory.Add o -> Event.Spec_add (elem_of_oid o)
+             | Directory.Remove o -> Event.Spec_remove (elem_of_oid o))))
   in
   t.unhook <- unhook;
   t
 
 let detach t = t.unhook ()
 
-let monitor t = t.monitor
 let computation t = Spec.Monitor.computation t.monitor
 
-let observe_first ?version ?linearised t =
-  let s, accessible = capture ?version ?linearised t in
-  emit_observe t Weakset_obs.Event.Phase_first s accessible;
-  Spec.Monitor.observe_first t.monitor ~time:(now t) ~s ~accessible
-
-let invocation_started t =
-  let s, accessible = capture t in
-  emit_observe t Weakset_obs.Event.Phase_invocation_start s accessible;
-  Spec.Monitor.invocation_started t.monitor ~time:(now t) ~s ~accessible
+let observe_first ?version ?linearised t = record ?version ?linearised t Event.Phase_first
+let invocation_started t = record t Event.Phase_invocation_start
 
 let invocation_retry ?version ?linearised t =
-  let s, accessible = capture ?version ?linearised t in
-  emit_observe t Weakset_obs.Event.Phase_invocation_retry s accessible;
-  Spec.Monitor.invocation_retry t.monitor ~time:(now t) ~s ~accessible
+  record ?version ?linearised t Event.Phase_invocation_retry
 
 let invocation_completed t term =
-  let s, accessible = capture t in
-  let ephase =
-    match term with
-    | Spec.Sstate.Returns -> Weakset_obs.Event.Phase_returns
-    | Spec.Sstate.Fails -> Weakset_obs.Event.Phase_fails
-    | Spec.Sstate.Suspends e -> Weakset_obs.Event.Phase_suspends (event_elem e)
-  in
-  emit_observe t ephase s accessible;
-  Spec.Monitor.invocation_completed t.monitor ~time:(now t) ~term ~s ~accessible
+  record t
+    (match term with
+    | Spec.Sstate.Returns -> Event.Phase_returns
+    | Spec.Sstate.Fails -> Event.Phase_fails
+    | Spec.Sstate.Suspends e -> Event.Phase_suspends e)
 
 let suspends oid = Spec.Sstate.Suspends (elem_of_oid oid)
 

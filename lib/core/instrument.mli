@@ -35,11 +35,7 @@ val attach :
     call when the instrumented run is over). *)
 val detach : t -> unit
 
-val monitor : t -> Weakset_spec.Monitor.t
 val computation : t -> Weakset_spec.Computation.t
-
-(** Oid → spec element (id = oid number, label = printed oid). *)
-val elem_of_oid : Weakset_store.Oid.t -> Weakset_spec.Elem.t
 
 (** The authoritative membership at a directory version, from this
     instrument's per-version history; [None] for versions predating its

@@ -4,7 +4,7 @@ let filter iter p =
     | Iterator.Yield (o, v) -> if p o v then Iterator.Yield (o, v) else next ()
     | (Iterator.Done | Iterator.Failed _) as outcome -> outcome
   in
-  Iterator.make ~next ~close:(fun () -> Iterator.close iter) ?monitor:(Iterator.monitor iter) ()
+  Iterator.make ~next ~close:(fun () -> Iterator.close iter)
 
 let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in

@@ -34,8 +34,10 @@ type drop_reason =
 
 type rpc_outcome = Rpc_ok | Rpc_timeout | Rpc_unreachable
 
-(** Specification-layer element: integer identity plus label, mirroring
-    [Weakset_spec.Elem] without depending on it. *)
+(** Specification-layer element: integer identity plus label.  This is
+    [Weakset_spec.Elem.t] (defined here so the event layer does not
+    depend on the spec layer).  The [s] and [accessible] lists of a
+    [Spec_observe] are in ascending [elem_id] order, one element per id. *)
 type elem = { elem_id : int; elem_label : string }
 
 type spec_op = Spec_add of elem | Spec_remove of elem

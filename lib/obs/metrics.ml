@@ -155,15 +155,7 @@ let h_percentile h p =
   if h.n = 0 then invalid_arg "Metrics.h_percentile: empty";
   if p < 0.0 || p > 100.0 then
     invalid_arg "Metrics.h_percentile: p out of range";
-  let a = sorted_samples h in
-  let n = Array.length a in
-  if n = 1 then a.(0)
-  else
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let frac = rank -. float_of_int lo in
-    if lo >= n - 1 then a.(n - 1)
-    else (a.(lo) *. (1.0 -. frac)) +. (a.(lo + 1) *. frac)
+  Percentile.linear (sorted_samples h) p
 
 (* Total-function percentile: a histogram that only ever saw shed
    (never-latency-recorded) traffic has an empty reservoir, and the

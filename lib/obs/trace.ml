@@ -281,18 +281,6 @@ let pp_anomaly fmt = function
       Format.fprintf fmt "slow span #%d %s: dur=%.2f exceeds p-threshold %.2f" sp.id
         sp.name dur threshold
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then invalid_arg "Trace.percentile: empty"
-  else if n = 1 then sorted.(0)
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let frac = rank -. float_of_int lo in
-    if lo >= n - 1 then sorted.(n - 1)
-    else (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(lo + 1) *. frac)
-  end
-
 (* [slow_pct], when given, additionally flags every closed span whose
    duration strictly exceeds that percentile of its name's population —
    an opt-in check, since any long-tailed population has spans above its
@@ -337,7 +325,7 @@ let anomalies ?slow_pct t =
         (fun name durs ->
           let a = Array.of_list durs in
           Array.sort compare a;
-          Hashtbl.replace thresholds name (percentile a p))
+          Hashtbl.replace thresholds name (Percentile.linear a p))
         by_name;
       List.iter
         (fun s ->
@@ -555,7 +543,7 @@ let render_stats t =
           Buffer.add_string buf
             (Printf.sprintf "%-24s %6d %6d %8.2f %8.2f %8.2f %8.2f\n" name closed open_
                (sum /. float_of_int closed)
-               (percentile a 50.0) (percentile a 95.0)
+               (Percentile.linear a 50.0) (Percentile.linear a 95.0)
                a.(Array.length a - 1))
         end)
       names

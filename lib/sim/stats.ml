@@ -48,33 +48,11 @@ let sorted t =
       t.sorted <- Some a;
       a
 
-let percentile t p =
-  if t.n = 0 then invalid_arg "Stats.percentile: empty";
-  let a = sorted t in
-  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.n)) in
-  let idx = Stdlib.max 0 (Stdlib.min (t.n - 1) (rank - 1)) in
-  a.(idx)
-
 let percentile_linear t p =
   if t.n = 0 then invalid_arg "Stats.percentile_linear: empty";
   if p < 0.0 || p > 100.0 then
     invalid_arg "Stats.percentile_linear: p out of range";
-  let a = sorted t in
-  if t.n = 1 then a.(0)
-  else
-    let rank = p /. 100.0 *. float_of_int (t.n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let frac = rank -. float_of_int lo in
-    if lo >= t.n - 1 then a.(t.n - 1)
-    else (a.(lo) *. (1.0 -. frac)) +. (a.(lo + 1) *. frac)
-
-let median t = percentile t 50.0
-
-let summary t =
-  if t.n = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f" t.n (mean t) (median t)
-      (percentile t 95.0) t.hi
+  Weakset_obs.Percentile.linear (sorted t) p
 
 module Histogram = struct
   type h = { lo : float; hi : float; buckets : int; counts : int array }

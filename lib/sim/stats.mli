@@ -18,20 +18,11 @@ val min : t -> float
 
 val max : t -> float
 
-(** [percentile t p] with [p] in \[0,100\], by nearest-rank on the sorted
-    samples.  Raises [Invalid_argument] on an empty accumulator. *)
-val percentile : t -> float -> float
-
-(** [percentile_linear t p] interpolates linearly between the two
-    samples bracketing rank [p/100 * (n-1)], so p95 on small [n] isn't
-    just the max sample.  Raises [Invalid_argument] on an empty
+(** [percentile_linear t p] is {!Weakset_obs.Percentile.linear} over the
+    sorted samples: it interpolates between the two samples bracketing
+    rank [p/100 * (n-1)].  Raises [Invalid_argument] on an empty
     accumulator or [p] outside \[0,100\]. *)
 val percentile_linear : t -> float -> float
-
-val median : t -> float
-
-(** One-line human-readable summary: n, mean, p50, p95, max. *)
-val summary : t -> string
 
 (** A fixed-width-bucket histogram over \[lo, hi). *)
 module Histogram : sig

@@ -1,14 +1,14 @@
-type t = { id : int; lbl : string }
+type t = Weakset_obs.Event.elem = { elem_id : int; elem_label : string }
 
 let make ?label id =
-  { id; lbl = (match label with Some l -> l | None -> "e" ^ string_of_int id) }
+  { elem_id = id; elem_label = (match label with Some l -> l | None -> "e" ^ string_of_int id) }
 
-let id t = t.id
-let label t = t.lbl
-let equal a b = Int.equal a.id b.id
-let compare a b = Int.compare a.id b.id
-let hash t = t.id
-let pp fmt t = Format.pp_print_string fmt t.lbl
+let id t = t.elem_id
+let label t = t.elem_label
+let equal a b = Int.equal a.elem_id b.elem_id
+let compare a b = Int.compare a.elem_id b.elem_id
+let hash t = t.elem_id
+let pp fmt t = Format.pp_print_string fmt t.elem_label
 
 module Set = struct
   include Set.Make (struct

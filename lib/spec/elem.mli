@@ -3,9 +3,12 @@
     The specification layer is deliberately independent of the store: an
     element is an integer identity plus a human-readable label used in
     counterexample reports.  Instrumentation layers map their own element
-    types (oids, file paths, ...) onto these. *)
+    types (oids, file paths, ...) onto these.
 
-type t
+    It is the element the [Spec_observe] trace events carry, so a
+    recorded stream feeds {!Monitor} without conversion. *)
+
+type t = Weakset_obs.Event.elem = { elem_id : int; elem_label : string }
 
 (** [make ?label id] — [label] defaults to ["e<id>"]. *)
 val make : ?label:string -> int -> t

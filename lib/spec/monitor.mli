@@ -1,5 +1,12 @@
-(** Online monitor: builds a {!Computation.t} while an iterator
-    implementation runs.
+(** Online monitor: builds a {!Computation.t} from the [Spec_observe]
+    events of one set.
+
+    The instrumentation layer describes every capture point (first-state,
+    invocation start/retry/completion, mutation) as one [Spec_observe]
+    event.  The same value is published on the engine's bus and fed to
+    the instrument's own monitor, so a monitor built live, one attached
+    as a bus sink, and one {!replay}ed from a ring buffer or a JSONL
+    trace all see one input and build the same computation.
 
     The paper models each invocation as an atomic transition, but real
     optimistic implementations block and retry inside an invocation.  The
@@ -12,7 +19,8 @@
 
 type t
 
-val create : unit -> t
+(** [create ~set_id] makes a monitor for the observations of set [set_id]. *)
+val create : set_id:int -> t
 
 val computation : t -> Computation.t
 
@@ -25,21 +33,28 @@ val completed_invocations : t -> int
 (** True while an invocation has started but not completed. *)
 val blocked : t -> bool
 
-(** Record the first-state (once, before any invocation). *)
-val observe_first : t -> time:float -> s:Elem.Set.t -> accessible:Elem.Set.t -> unit
+(** [observe t ~time kind] records one capture at virtual time [time].
+    Only [Spec_observe] events of the monitored set count; anything else
+    is ignored.  The phase decides the transition:
 
-(** Start an invocation, buffering its candidate pre-state. *)
-val invocation_started : t -> time:float -> s:Elem.Set.t -> accessible:Elem.Set.t -> unit
+    - [Phase_first] appends the first-state;
+    - [Phase_invocation_start] buffers the candidate pre-state;
+    - [Phase_invocation_retry] replaces it (the implementation re-read
+      the directory while blocked);
+    - [Phase_returns]/[Phase_fails]/[Phase_suspends] append the buffered
+      pre-state and the post-state, updating [yielded] on a suspend;
+    - [Phase_mutation] appends the mutated state (by any process).
 
-(** Replace the buffered pre-state (the implementation re-read the
-    directory while blocked). *)
-val invocation_retry : t -> time:float -> s:Elem.Set.t -> accessible:Elem.Set.t -> unit
+    Raises [Invalid_argument] on a start while an invocation is open, or
+    on a retry or completion with none open. *)
+val observe : t -> time:float -> Weakset_obs.Event.kind -> unit
 
-(** Complete the invocation: appends the buffered pre-state and the
-    post-state, updating [yielded] on [Suspends]. *)
-val invocation_completed :
-  t -> time:float -> term:Sstate.termination -> s:Elem.Set.t -> accessible:Elem.Set.t -> unit
+(** [handle t ev] is [observe t ~time:ev.time ev.kind]. *)
+val handle : t -> Weakset_obs.Event.t -> unit
 
-(** Record a mutation of the set (by any process). *)
-val observe_mutation :
-  t -> time:float -> op:Sstate.mutation -> s:Elem.Set.t -> accessible:Elem.Set.t -> unit
+(** [sink t] is [handle t], for [Weakset_obs.Bus.attach]. *)
+val sink : t -> Weakset_obs.Event.t -> unit
+
+(** [replay ~set_id events] feeds a recorded stream (e.g. from
+    [Weakset_obs.Ring.to_list]) through a fresh monitor. *)
+val replay : set_id:int -> Weakset_obs.Event.t list -> t

@@ -5,7 +5,7 @@ type t = {
   spec : Figures.spec;
   config : Visibility.config;  (* the spec's design point, judged by the unified engine *)
   set_id : int;
-  adapter : Monitor_adapter.t;
+  monitor : Monitor.t;
   bus : Bus.t option;
   on_violation : (time:float -> Figures.violation -> unit) option;
   sample_every : int;
@@ -23,7 +23,7 @@ let create ?bus ?on_violation ?(sample_every = 16) ~set_id spec =
     spec;
     config = Figures.config_of spec;
     set_id;
-    adapter = Monitor_adapter.create ~set_id;
+    monitor = Monitor.create ~set_id;
     bus;
     on_violation;
     sample_every;
@@ -35,7 +35,7 @@ let create ?bus ?on_violation ?(sample_every = 16) ~set_id spec =
     finished = false;
   }
 
-let computation t = Monitor_adapter.computation t.adapter
+let computation t = Monitor.computation t.monitor
 
 let viol_key (v : Figures.violation) =
   Printf.sprintf "%s|%s|%d" v.where v.message
@@ -91,7 +91,7 @@ let handle t (ev : Event.t) =
   if t.finished then invalid_arg "Monitor_online.handle: already finished";
   match ev.kind with
   | Event.Spec_observe { set_id; _ } when set_id = t.set_id ->
-      Monitor_adapter.handle t.adapter ev;
+      Monitor.handle t.monitor ev;
       t.observes <- t.observes + 1;
       incremental_constraint t ~time:ev.time;
       if t.observes mod t.sample_every = 0 then full_check t ~time:ev.time

@@ -1,8 +1,8 @@
 (** Online spec-conformance checking: violations are caught {e while the
-    run executes}, not only in post-hoc {!Monitor_adapter} replay.
+    run executes}, not only in post-hoc {!Monitor.replay}.
 
     Attach {!sink} to a bus: each [Spec_observe] event of the watched
-    set feeds the underlying {!Monitor_adapter}, then two checks run —
+    set feeds the underlying {!Monitor}, then two checks run —
 
     - {b always}: the spec's [constraint] clause between the new state
       and its predecessor.  The clauses are reflexive and transitive,

@@ -240,20 +240,17 @@ let test_stats_percentile_linear () =
     Stats.add big (float_of_int i)
   done;
   Alcotest.(check (float 1e-9)) "p95 of 1..100" 95.05 (Stats.percentile_linear big 95.0);
-  (* nearest-rank behaviour is unchanged *)
-  Alcotest.(check (float 1e-9)) "nearest-rank p95 still 95" 95.0 (Stats.percentile big 95.0);
   Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile_linear: empty")
     (fun () -> ignore (Stats.percentile_linear (Stats.create ()) 50.0))
 
 let test_stats_percentile_edges () =
   (* Degenerate sample counts: with one sample every percentile is that
-     sample; with two, nearest-rank snaps to an endpoint while linear
-     interpolates between them.  p=0 / p=100 are exact endpoints. *)
+     sample; with two, p=0 / p=100 are the exact endpoints and anything
+     between interpolates. *)
   let one = Stats.create () in
   Stats.add one 7.0;
   List.iter
     (fun p ->
-      Alcotest.(check (float 1e-9)) (Printf.sprintf "1 sample, p%g" p) 7.0 (Stats.percentile one p);
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "1 sample, linear p%g" p)
         7.0
@@ -262,8 +259,6 @@ let test_stats_percentile_edges () =
   let two = Stats.create () in
   Stats.add two 10.0;
   Stats.add two 20.0;
-  Alcotest.(check (float 1e-9)) "2 samples, p0" 10.0 (Stats.percentile two 0.0);
-  Alcotest.(check (float 1e-9)) "2 samples, p100" 20.0 (Stats.percentile two 100.0);
   Alcotest.(check (float 1e-9)) "2 samples, linear p0" 10.0 (Stats.percentile_linear two 0.0);
   Alcotest.(check (float 1e-9)) "2 samples, linear p100" 20.0 (Stats.percentile_linear two 100.0);
   Alcotest.(check (float 1e-9)) "2 samples, linear p25 interpolates" 12.5
@@ -530,38 +525,52 @@ let test_canonical_covers_causal_metadata () =
   check_bool "spans carry parent=" true (has "parent=")
 
 (* ------------------------------------------------------------------ *)
-(* Monitor adapter: conformance checking off the recorded stream      *)
+(* Spec recording: conformance checking off the recorded stream       *)
 (* ------------------------------------------------------------------ *)
 
-let test_monitor_adapter_matches_inline_monitor () =
+(* The instrument's own monitor and a replay of the recorded stream must
+   build the same computation — rendered state by state, not just
+   counted — under every design point with churn, whether the stream is
+   replayed straight from the ring or after a JSONL round trip. *)
+let test_replay_matches_inline_monitor () =
   let open Bench_lib in
-  let w = Scenarios.clique_world ~seed:7 ~size:6 () in
-  let ring = Obs.Ring.create ~capacity:200_000 in
-  Obs.Bus.attach (Engine.bus w.Scenarios.eng) ~name:"ring" (Obs.Ring.sink ring);
-  Scenarios.set_mutator w ~add_rate:0.2 ~remove_rate:0.1 ~until:1_000.0;
-  let r =
-    Scenarios.run_iteration ~instrument:true ~think:2.0 ~deadline:5_000.0 w
-      Weakset_core.Semantics.optimistic
-  in
-  match r.Scenarios.inst with
-  | None -> Alcotest.fail "expected instrumentation"
-  | Some inst ->
-      check_int "ring kept the whole stream" 0 (Obs.Ring.dropped ring);
-      let adapter =
-        Weakset_spec.Monitor_adapter.replay ~set_id:1 (Obs.Ring.to_list ring)
-      in
-      let direct = Weakset_core.Instrument.computation inst in
-      let replayed = Weakset_spec.Monitor_adapter.computation adapter in
-      check_int "same number of states"
-        (Weakset_spec.Computation.length direct)
-        (Weakset_spec.Computation.length replayed);
-      check_int "same number of invocations"
-        (List.length (Weakset_spec.Computation.invocations direct))
-        (List.length (Weakset_spec.Computation.invocations replayed));
-      let spec = Weakset_spec.Figures.fig4 in
-      check_string "same conformance verdict"
-        (Harness.verdict_cell (Weakset_spec.Figures.check spec direct))
-        (Harness.verdict_cell (Weakset_spec.Figures.check spec replayed))
+  let render c = Format.asprintf "%a" Weakset_spec.Computation.pp c in
+  List.iter
+    (fun (name, sem) ->
+      let w = Scenarios.clique_world ~seed:7 ~size:6 () in
+      let ring = Obs.Ring.create ~capacity:200_000 in
+      Obs.Bus.attach (Engine.bus w.Scenarios.eng) ~name:"ring" (Obs.Ring.sink ring);
+      Scenarios.set_mutator w ~add_rate:0.2 ~remove_rate:0.1 ~until:1_000.0;
+      let r = Scenarios.run_iteration ~instrument:true ~think:2.0 ~deadline:5_000.0 w sem in
+      match r.Scenarios.inst with
+      | None -> Alcotest.fail "expected instrumentation"
+      | Some inst ->
+          check_int (name ^ ": ring kept the whole stream") 0 (Obs.Ring.dropped ring);
+          let events = Obs.Ring.to_list ring in
+          let reparsed =
+            List.map
+              (fun e ->
+                match Obs.Event.of_json_string (Obs.Event.to_json e) with
+                | Ok e' -> e'
+                | Error m -> Alcotest.failf "%s: parse error: %s" name m)
+              events
+          in
+          let direct = Weakset_core.Instrument.computation inst in
+          let replay evs =
+            Weakset_spec.Monitor.computation (Weakset_spec.Monitor.replay ~set_id:1 evs)
+          in
+          let replayed = replay events in
+          check_bool (name ^ ": non-trivial computation") true
+            (Weakset_spec.Computation.length direct > 2);
+          check_string (name ^ ": ring replay renders the same computation") (render direct)
+            (render replayed);
+          check_string (name ^ ": JSONL replay renders the same computation") (render direct)
+            (render (replay reparsed));
+          let spec = Weakset_spec.Figures.fig4 in
+          check_string (name ^ ": same conformance verdict")
+            (Harness.verdict_cell (Weakset_spec.Figures.check spec direct))
+            (Harness.verdict_cell (Weakset_spec.Figures.check spec replayed)))
+    Scenarios.named_semantics
 
 (* ------------------------------------------------------------------ *)
 (* JSONL sink                                                         *)
@@ -626,10 +635,10 @@ let () =
           Alcotest.test_case "linear percentiles" `Quick test_stats_percentile_linear;
           Alcotest.test_case "percentile edge cases" `Quick test_stats_percentile_edges;
         ] );
-      ( "monitor-adapter",
+      ( "spec-recording",
         [
           Alcotest.test_case "replay matches inline monitor" `Quick
-            test_monitor_adapter_matches_inline_monitor;
+            test_replay_matches_inline_monitor;
         ] );
       ( "jsonl",
         [ Alcotest.test_case "writer" `Quick test_jsonl_writer ] );

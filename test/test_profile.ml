@@ -8,8 +8,8 @@
      = end - spawn);
    - a seeded network-brownout scenario fires at least one SLO
      burn-rate Alert, published back onto the bus;
-   - the online monitor reproduces every violation Monitor_adapter's
-     post-hoc replay finds on the same recorded trace, and catches
+   - the online monitor reproduces every violation a post-hoc
+     Monitor.replay finds on the same recorded trace, and catches
      constraint violations before the final check;
    - the baseline compare flags regressions and misses, and the file
      format round-trips. *)
@@ -219,9 +219,9 @@ let test_online_monitor_matches_replay () =
   let events = Obs.Ring.to_list ring in
   let spec = Weakset_spec.Figures.fig1 in
   (* Post-hoc truth: replay the stream, then check the computation. *)
-  let adapter = Weakset_spec.Monitor_adapter.replay ~set_id:1 events in
+  let replayed = Weakset_spec.Monitor.replay ~set_id:1 events in
   let replay_violations =
-    match Weakset_spec.Figures.check spec (Weakset_spec.Monitor_adapter.computation adapter) with
+    match Weakset_spec.Figures.check spec (Weakset_spec.Monitor.computation replayed) with
     | Weakset_spec.Figures.Conforms -> []
     | Weakset_spec.Figures.Violates vs -> vs
   in

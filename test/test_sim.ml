@@ -543,25 +543,10 @@ let test_stats_stddev () =
   let sd = Stats.stddev s in
   check_bool "sample stddev ~ 2.138" true (abs_float (sd -. 2.13809) < 1e-4)
 
-let test_stats_percentile () =
-  let s = Stats.create () in
-  for i = 1 to 100 do
-    Stats.add s (float_of_int i)
-  done;
-  check_float "p50" 50.0 (Stats.percentile s 50.0);
-  check_float "p95" 95.0 (Stats.percentile s 95.0);
-  check_float "p100" 100.0 (Stats.percentile s 100.0);
-  check_float "median" 50.0 (Stats.median s)
-
-let test_stats_empty_percentile () =
-  let s = Stats.create () in
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile: empty") (fun () ->
-      ignore (Stats.percentile s 50.0))
-
 (* The linear-interpolation variant at its window boundaries: p=0 and
    p=100 are exactly min and max, a single sample answers every p, and
    fractional ranks interpolate between the bracketing samples instead
-   of snapping to the max the way nearest-rank does on small n. *)
+   of snapping to the max sample on small n. *)
 let test_stats_percentile_linear_boundaries () =
   let one = Stats.create () in
   Stats.add one 7.5;
@@ -574,9 +559,7 @@ let test_stats_percentile_linear_boundaries () =
   check_float "p100 = max" 40.0 (Stats.percentile_linear s 100.0);
   (* rank = 0.95 * 3 = 2.85: between 30 and 40. *)
   check_float "p95 interpolates" 38.5 (Stats.percentile_linear s 95.0);
-  check_float "p50 interpolates" 25.0 (Stats.percentile_linear s 50.0);
-  (* nearest-rank on the same data snaps p95 to the max sample. *)
-  check_float "nearest-rank p95 is max" 40.0 (Stats.percentile s 95.0)
+  check_float "p50 interpolates" 25.0 (Stats.percentile_linear s 50.0)
 
 let test_stats_percentile_linear_rejects () =
   let s = Stats.create () in
@@ -598,14 +581,14 @@ let test_histogram () =
   check_int "bucket4 [8,10)" 1 c.(5);
   check_int "overflow" 2 c.(6)
 
-let prop_stats_percentile_in_samples =
-  QCheck.Test.make ~name:"percentile returns an actual sample" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 50) (float_range (-100.) 100.))
-    (fun l ->
+let prop_stats_percentile_within_range =
+  QCheck.Test.make ~name:"percentile_linear within [min,max]" ~count:200
+    QCheck.(pair (list_of_size Gen.(1 -- 50) (float_range (-100.) 100.)) (float_range 0. 100.))
+    (fun (l, p) ->
       let s = Stats.create () in
       List.iter (Stats.add s) l;
-      let p = Stats.percentile s 50.0 in
-      List.exists (fun x -> Float.equal x p) l)
+      let v = Stats.percentile_linear s p in
+      v >= Stats.min s -. 1e-9 && v <= Stats.max s +. 1e-9)
 
 let prop_stats_mean_bounded =
   QCheck.Test.make ~name:"mean lies between min and max" ~count:200
@@ -758,14 +741,12 @@ let () =
       ( "stats",
         Alcotest.test_case "basic" `Quick test_stats_basic
         :: Alcotest.test_case "stddev" `Quick test_stats_stddev
-        :: Alcotest.test_case "percentile" `Quick test_stats_percentile
-        :: Alcotest.test_case "empty percentile" `Quick test_stats_empty_percentile
         :: Alcotest.test_case "percentile_linear boundaries" `Quick
              test_stats_percentile_linear_boundaries
         :: Alcotest.test_case "percentile_linear rejects bad input" `Quick
              test_stats_percentile_linear_rejects
         :: Alcotest.test_case "histogram" `Quick test_histogram
-        :: qcheck [ prop_stats_percentile_in_samples; prop_stats_mean_bounded ] );
+        :: qcheck [ prop_stats_percentile_within_range; prop_stats_mean_bounded ] );
       ( "run-slices",
         [
           Alcotest.test_case "balanced begin/end" `Quick test_run_slices_balanced;

@@ -6,9 +6,11 @@
    scenario it encodes. *)
 
 open Weakset_spec
+module Event = Weakset_obs.Event
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 let e i = Elem.make i
 let eset l = Elem.Set.of_list (List.map e l)
@@ -473,16 +475,21 @@ let test_computation_final_yielded () =
 (* Monitor                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* One [Spec_observe] of set [set_id] (default 1); [acc] defaults to [s]. *)
+let spec_obs ?(set_id = 1) ?acc phase s =
+  let acc = Option.value acc ~default:s in
+  Event.Spec_observe { set_id; phase; s = List.map e s; accessible = List.map e acc }
+
 let test_monitor_basic_flow () =
-  let m = Monitor.create () in
-  let s = eset [ 1; 2 ] in
-  Monitor.observe_first m ~time:0.0 ~s ~accessible:s;
-  Monitor.invocation_started m ~time:1.0 ~s ~accessible:s;
-  Monitor.invocation_completed m ~time:1.5 ~term:(Sstate.Suspends (e 1)) ~s ~accessible:s;
-  Monitor.invocation_started m ~time:2.0 ~s ~accessible:s;
-  Monitor.invocation_completed m ~time:2.5 ~term:(Sstate.Suspends (e 2)) ~s ~accessible:s;
-  Monitor.invocation_started m ~time:3.0 ~s ~accessible:s;
-  Monitor.invocation_completed m ~time:3.5 ~term:Sstate.Returns ~s ~accessible:s;
+  let m = Monitor.create ~set_id:1 in
+  let at time phase = Monitor.observe m ~time (spec_obs phase [ 1; 2 ]) in
+  at 0.0 Event.Phase_first;
+  at 1.0 Event.Phase_invocation_start;
+  at 1.5 (Event.Phase_suspends (e 1));
+  at 2.0 Event.Phase_invocation_start;
+  at 2.5 (Event.Phase_suspends (e 2));
+  at 3.0 Event.Phase_invocation_start;
+  at 3.5 Event.Phase_returns;
   check_int "three invocations" 3 (Monitor.completed_invocations m);
   check_bool "yielded tracked" true (Elem.Set.equal (Monitor.yielded m) (eset [ 1; 2 ]));
   expect_conforms Figures.fig1 (Monitor.computation m)
@@ -490,41 +497,46 @@ let test_monitor_basic_flow () =
 let test_monitor_retry_refreshes_pre () =
   (* The pre-state recorded must be the one from the last retry, which is
      how blocking optimistic invocations linearise. *)
-  let m = Monitor.create () in
-  let s1 = eset [ 1 ] and s2 = eset [ 1; 2 ] in
-  Monitor.observe_first m ~time:0.0 ~s:s1 ~accessible:s1;
-  Monitor.invocation_started m ~time:1.0 ~s:s1 ~accessible:s1;
-  Monitor.invocation_retry m ~time:2.0 ~s:s2 ~accessible:s2;
-  Monitor.invocation_completed m ~time:2.5 ~term:(Sstate.Suspends (e 2)) ~s:s2 ~accessible:s2;
+  let m = Monitor.create ~set_id:1 in
+  Monitor.observe m ~time:0.0 (spec_obs Event.Phase_first [ 1 ]);
+  Monitor.observe m ~time:1.0 (spec_obs Event.Phase_invocation_start [ 1 ]);
+  Monitor.observe m ~time:2.0 (spec_obs Event.Phase_invocation_retry [ 1; 2 ]);
+  Monitor.observe m ~time:2.5 (spec_obs (Event.Phase_suspends (e 2)) [ 1; 2 ]);
   let pre, _ = List.hd (Computation.invocations (Monitor.computation m)) in
-  check_bool "pre is the retried snapshot" true (Elem.Set.equal pre.Sstate.s_value s2)
+  check_bool "pre is the retried snapshot" true (Elem.Set.equal pre.Sstate.s_value (eset [ 1; 2 ]))
 
 let test_monitor_blocked () =
-  let m = Monitor.create () in
-  let s = eset [ 1 ] in
-  Monitor.observe_first m ~time:0.0 ~s ~accessible:s;
+  let m = Monitor.create ~set_id:1 in
+  Monitor.observe m ~time:0.0 (spec_obs Event.Phase_first [ 1 ]);
   check_bool "not blocked initially" false (Monitor.blocked m);
-  Monitor.invocation_started m ~time:1.0 ~s ~accessible:s;
+  Monitor.observe m ~time:1.0 (spec_obs Event.Phase_invocation_start [ 1 ]);
   check_bool "blocked while open" true (Monitor.blocked m);
   check_int "pending invisible in computation" 0
     (List.length (Computation.pending_invocations (Monitor.computation m)))
 
 let test_monitor_misuse_rejected () =
-  let m = Monitor.create () in
-  let s = eset [ 1 ] in
+  let m = Monitor.create ~set_id:1 in
   Alcotest.check_raises "complete before start"
     (Invalid_argument "Monitor: no invocation in progress") (fun () ->
-      Monitor.invocation_completed m ~time:1.0 ~term:Sstate.Returns ~s ~accessible:s);
-  Monitor.invocation_started m ~time:1.0 ~s ~accessible:s;
+      Monitor.observe m ~time:1.0 (spec_obs Event.Phase_returns [ 1 ]));
+  Monitor.observe m ~time:1.0 (spec_obs Event.Phase_invocation_start [ 1 ]);
   Alcotest.check_raises "double start" (Invalid_argument "Monitor: invocation already in progress")
-    (fun () -> Monitor.invocation_started m ~time:2.0 ~s ~accessible:s)
+    (fun () -> Monitor.observe m ~time:2.0 (spec_obs Event.Phase_invocation_start [ 1 ]))
 
 let test_monitor_mutations_recorded () =
-  let m = Monitor.create () in
-  let s1 = eset [ 1 ] and s2 = eset [ 1; 2 ] in
-  Monitor.observe_first m ~time:0.0 ~s:s1 ~accessible:s2;
-  Monitor.observe_mutation m ~time:1.0 ~op:(Sstate.Madd (e 2)) ~s:s2 ~accessible:s2;
-  check_int "two states" 2 (Computation.length (Monitor.computation m))
+  let m = Monitor.create ~set_id:1 in
+  let render () = Format.asprintf "%a" Computation.pp (Monitor.computation m) in
+  Monitor.observe m ~time:0.0 (spec_obs Event.Phase_first [ 1 ] ~acc:[ 1; 2 ]);
+  Monitor.observe m ~time:1.0 (spec_obs (Event.Phase_mutation (Event.Spec_add (e 2))) [ 1; 2 ]);
+  check_int "two states" 2 (Computation.length (Monitor.computation m));
+  (* Another set's observations, interleaved on the same bus, are not
+     this computation's. *)
+  let before = render () in
+  Monitor.observe m ~time:1.5
+    (spec_obs ~set_id:2 (Event.Phase_mutation (Event.Spec_add (e 3))) [ 3 ]);
+  Monitor.observe m ~time:1.5 (spec_obs ~set_id:2 Event.Phase_invocation_start [ 3 ]);
+  check_string "other set's events ignored" before (render ());
+  check_bool "other set's invocation not pending here" false (Monitor.blocked m)
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                             *)
