@@ -6,14 +6,11 @@ type t = {
   sref : Weakset_store.Protocol.set_ref;
   semantics : Semantics.t;
   heal_signal : Weakset_sim.Signal.t option;
-  retry_backoff : float;
-  lock_timeout : float;
   coordinator_server : Weakset_store.Node_server.t option;
 }
 
-let make ?heal_signal ?(retry_backoff = 1.0) ?(lock_timeout = 600.0) ?coordinator_server client
-    sref semantics =
-  { client; sref; semantics; heal_signal; retry_backoff; lock_timeout; coordinator_server }
+let make ?heal_signal ?coordinator_server client sref semantics =
+  { client; sref; semantics; heal_signal; coordinator_server }
 
 let semantics t = t.semantics
 let sref t = t.sref
@@ -25,7 +22,7 @@ let with_mutation_lock t f =
   match t.semantics.Semantics.mutability with
   | Semantics.Immutable -> (
       match
-        Client.lock_acquire (Client.with_timeout t.client t.lock_timeout) t.sref Lockmgr.Write
+        Client.lock_acquire (Client.with_timeout t.client Impl.lock_timeout) t.sref Lockmgr.Write
       with
       | Error e -> Error e
       | Ok owner ->
@@ -77,27 +74,6 @@ let elements ?(instrument = false) t =
       | None -> invalid_arg "Weak_set.elements: instrumentation needs coordinator_server"
     else None
   in
-  let ctx =
-    Impl_common.make_ctx ?instrument:inst ?heal_signal:t.heal_signal
-      ~retry_backoff:t.retry_backoff ~lock_timeout:t.lock_timeout t.client t.sref
-  in
-  let iter =
-    if t.semantics.Semantics.linearizable then Impl_lin.open_ ctx
-    else
-      match
-        ( t.semantics.Semantics.mutability,
-          t.semantics.Semantics.vintage,
-          t.semantics.Semantics.failure_handling )
-      with
-    | Semantics.Immutable, _, _ -> Impl_first_vintage.open_locking ctx
-    | Semantics.Mutable_any, Semantics.First_vintage, _ -> Impl_first_vintage.open_snapshot ctx
-    | Semantics.Grow_only, _, _ -> Impl_grow_only.open_ ctx
-    | Semantics.Mutable_any, Semantics.Current_vintage, Semantics.Optimistic ->
-        Impl_optimistic.open_
-          ~read_nearest_replica:t.semantics.Semantics.read_nearest_replica ctx
-    | Semantics.Mutable_any, Semantics.Current_vintage, Semantics.Pessimistic ->
-        Impl_grow_only.open_ ~register:false ctx
-  in
-  (iter, inst)
+  (Impl.open_ ?instrument:inst ?heal_signal:t.heal_signal t.client t.sref t.semantics, inst)
 
 let spec ?no_failures t = Semantics.spec_of ?no_failures t.semantics

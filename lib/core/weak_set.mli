@@ -16,16 +16,15 @@
 
 type t
 
-(** [make ?heal_signal ?retry_backoff ?lock_timeout ?coordinator_server
-    client sref semantics].  [coordinator_server] (the node server
-    hosting [sref]'s directory) enables spec instrumentation of
-    [elements ~instrument:true]; [heal_signal] (usually
-    {!Weakset_net.Fault.signal}) lets optimistic iterators park instead
-    of polling. *)
+(** [make ?heal_signal ?coordinator_server client sref semantics].
+    [coordinator_server] (the node server hosting [sref]'s directory)
+    enables spec instrumentation of [elements ~instrument:true];
+    [heal_signal] (usually {!Weakset_net.Fault.signal}) lets parked
+    iterators wake on repair instead of polling once per time unit.
+    Lock acquisition, by immutable-set iterators and mutators alike, may
+    block for {!Impl.lock_timeout}. *)
 val make :
   ?heal_signal:Weakset_sim.Signal.t ->
-  ?retry_backoff:float ->
-  ?lock_timeout:float ->
   ?coordinator_server:Weakset_store.Node_server.t ->
   Weakset_store.Client.t ->
   Weakset_store.Protocol.set_ref ->
@@ -61,7 +60,7 @@ val provision :
   Weakset_store.Protocol.set_ref
 
 (** [elements ?instrument t] opens an iterator with the handle's
-    semantics.  With [instrument:true] (requires [coordinator_server])
+    semantics (see {!Impl}).  With [instrument:true] (requires [coordinator_server])
     the run is recorded; retrieve the instrument from the returned pair
     to check conformance. *)
 val elements : ?instrument:bool -> t -> Iterator.t * Instrument.t option

@@ -1,4 +1,4 @@
-(* End-to-end tests for weakset_core: the four iterator semantics running
+(* End-to-end tests for weakset_core: the iterator semantics running
    over a real simulated cluster (RPC, partitions, locks, ghosts, replicas),
    each instrumented and checked against the paper's executable figure
    specifications. *)
@@ -848,6 +848,169 @@ let test_gmw_classification () =
   check_int "table covers all named points" (List.length Semantics.all) (List.length (table ()))
 
 (* ------------------------------------------------------------------ *)
+(* Dispatch: every Semantics.t value behaves like its normal form     *)
+(* ------------------------------------------------------------------ *)
+
+(* Spawn one instrumented iteration at [start] and run the world until
+   [until]: the yields with their times, the ending ([None] if the
+   iterator was still blocked), and the instrument. *)
+let run_recorded ?(start = 0.0) w s ~until =
+  let yields = ref [] and ending = ref None and inst = ref None in
+  Engine.spawn w.eng ~name:"iterate" (fun () ->
+      Engine.sleep w.eng start;
+      let iter, i = Weak_set.elements ~instrument:true s in
+      inst := i;
+      let rec loop () =
+        match Iterator.next iter with
+        | Iterator.Yield (o, _) ->
+            yields := (o, Engine.now w.eng) :: !yields;
+            loop ()
+        | Iterator.Done -> ending := Some "done"
+        | Iterator.Failed e -> ending := Some ("failed " ^ Client.error_to_string e)
+      in
+      loop ());
+  let (_ : int) = Engine.run ~until w.eng in
+  (match Engine.crashes w.eng with
+  | [] -> ()
+  | c :: _ -> Alcotest.failf "crash: %s" (Printexc.to_string c.Engine.crash_exn));
+  (List.rev !yields, !ending, get_inst !inst)
+
+let all_semantics_values =
+  let bools = [ false; true ] in
+  List.concat_map
+    (fun mutability ->
+      List.concat_map
+        (fun vintage ->
+          List.concat_map
+            (fun failure_handling ->
+              List.concat_map
+                (fun read_nearest_replica ->
+                  List.map
+                    (fun linearizable ->
+                      {
+                        Semantics.mutability;
+                        vintage;
+                        failure_handling;
+                        read_nearest_replica;
+                        linearizable;
+                      })
+                    bools)
+                bools)
+            [ Semantics.Pessimistic; Semantics.Optimistic ])
+        [ Semantics.First_vintage; Semantics.Current_vintage ])
+    [ Semantics.Immutable; Semantics.Grow_only; Semantics.Mutable_any ]
+
+(* A2's unnamed point: current vintage, pessimistic, no registration. *)
+let unregistered_pessimistic = { Semantics.grow_only with Semantics.mutability = Semantics.Mutable_any }
+
+(* The documented dispatch: [linearizable] overrides everything, an
+   immutable set is a locked pool whatever its vintage, a grow-only set
+   registers whatever its failure handling, and failure handling and
+   [read_nearest_replica] matter only for a mutable current-vintage set. *)
+let normal_form (s : Semantics.t) =
+  if s.Semantics.linearizable then Semantics.lin
+  else
+    match (s.Semantics.mutability, s.Semantics.vintage, s.Semantics.failure_handling) with
+    | Semantics.Immutable, _, _ -> Semantics.immutable
+    | Semantics.Grow_only, _, _ -> Semantics.grow_only
+    | Semantics.Mutable_any, Semantics.First_vintage, _ -> Semantics.snapshot
+    | Semantics.Mutable_any, Semantics.Current_vintage, Semantics.Pessimistic ->
+        unregistered_pessimistic
+    | Semantics.Mutable_any, Semantics.Current_vintage, Semantics.Optimistic ->
+        if s.Semantics.read_nearest_replica then Semantics.optimistic_stale
+        else Semantics.optimistic
+
+(* The six-node clique plus a replica node 6 that is closer to the client
+   than the coordinator and syncs only every 100 units; a ghost-policy
+   directory of six members.  While the iteration runs, a mutator adds a
+   member at t=3 and removes the highest-numbered one at t=5, and the
+   home of two members is isolated over [8, 40].  The iteration opens at
+   t=2.5, once the replica has taken its first sync. *)
+let observe_churn_world semantics =
+  oid_counter := 0;
+  let w = make_world ~policy:Node_server.Defer_removes_while_iterating () in
+  let replica = Topology.add_node w.topo in
+  Topology.add_link w.topo w.nodes.(5) replica ~latency:0.5;
+  Topology.add_link w.topo w.nodes.(0) replica ~latency:1.0;
+  let replica_server = Node_server.create w.rpc replica in
+  Node_server.host_replica replica_server ~set_id ~of_:w.nodes.(0) ~interval:100.0 ~until:1_000.0;
+  let w = { w with sref = { w.sref with Protocol.replicas = [ replica ] } } in
+  let members = populate w 6 in
+  let mutator = Weak_set.make w.client w.sref Semantics.optimistic in
+  Engine.spawn w.eng ~name:"churn" (fun () ->
+      ignore (Node_server.replica_pull_now replica_server ~set_id);
+      Engine.sleep w.eng (Float.max 0.0 (3.0 -. Engine.now w.eng));
+      incr oid_counter;
+      let late = Oid.make ~num:!oid_counter ~home:w.nodes.(1) in
+      Node_server.put_object w.servers.(1) late (Svalue.make "late");
+      ignore (Weak_set.add mutator late);
+      Engine.sleep w.eng (Float.max 0.0 (5.0 -. Engine.now w.eng));
+      ignore (Weak_set.remove mutator members.(5)));
+  Fault.isolate_node w.fault ~at:8.0 ~heal_at:40.0 w.nodes.(2);
+  let yields, ending, inst = run_recorded ~start:2.5 w (wset ~semantics w) ~until:500.0 in
+  Format.asprintf "yields [%s] ending %s@.%a"
+    (String.concat "; " (List.map (fun (o, t) -> Printf.sprintf "%d@%g" (Oid.num o) t) yields))
+    (Option.value ending ~default:"none") Weakset_spec.Computation.pp
+    (Instrument.computation inst)
+
+(* A member whose object was never stored ([Weak_set.add] assumes it
+   was): members 1..6 on the clique, object 3 missing.  Pessimistic
+   iterators fail on it, optimistic ones skip it, and the lin iterator
+   parks forever because its pinned snapshot can never be honoured.
+   Only outcomes are asserted: the instrument counts a member accessible
+   when its home is reachable, whether or not the object exists. *)
+let test_missing_object_branches () =
+  List.iter
+    (fun (semantics, expect_yields, expect_ending) ->
+      let name = Semantics.name semantics in
+      let policy =
+        match semantics.Semantics.mutability with
+        | Semantics.Grow_only -> Node_server.Defer_removes_while_iterating
+        | Semantics.Immutable | Semantics.Mutable_any -> Node_server.Immediate
+      in
+      let w = make_world ~policy () in
+      let truth = Node_server.directory_truth w.servers.(0) ~set_id in
+      for num = 1 to 6 do
+        let home_ix = 1 + ((num - 1) mod 4) in
+        let oid = Oid.make ~num ~home:w.nodes.(home_ix) in
+        if num <> 3 then Node_server.put_object w.servers.(home_ix) oid (Svalue.make "x");
+        ignore (Directory.apply truth (Directory.Add oid))
+      done;
+      let yields, ending, _ = run_recorded w (wset ~semantics w) ~until:5_000.0 in
+      Alcotest.(check (list int)) (name ^ " yields") expect_yields
+        (List.map (fun (o, _) -> Oid.num o) yields);
+      Alcotest.(check (option string)) (name ^ " ending") expect_ending ending)
+    [
+      (Semantics.immutable, [ 1; 2 ], Some "failed no-such-object");
+      (Semantics.snapshot, [ 1; 2 ], Some "failed no-such-object");
+      (Semantics.grow_only, [ 1; 2 ], Some "failed no-such-object");
+      (Semantics.optimistic, [ 1; 2; 4; 5; 6 ], Some "done");
+      (Semantics.optimistic_stale, [ 1; 2; 4; 5; 6 ], Some "done");
+      (Semantics.lin, [ 1; 2 ], None);
+    ]
+
+let test_dispatch_normal_form () =
+  let observed = List.map (fun s -> (s, observe_churn_world s)) all_semantics_values in
+  let observation s = List.assoc s observed in
+  check_int "48 semantics values" 48 (List.length observed);
+  List.iter
+    (fun (s, obs) ->
+      let nf = normal_form s in
+      if obs <> observation nf then
+        Alcotest.failf "%a behaves unlike its normal form %s:@.%s@.vs@.%s" Semantics.pp s
+          (Semantics.name nf) obs (observation nf))
+    observed;
+  let forms = ("a2-unregistered", unregistered_pessimistic) :: Semantics.all in
+  List.iter
+    (fun (n1, s1) ->
+      List.iter
+        (fun (n2, s2) ->
+          if n1 < n2 && observation s1 = observation s2 then
+            Alcotest.failf "normal forms %s and %s are indistinguishable in this world" n1 n2)
+        forms)
+    forms
+
+(* ------------------------------------------------------------------ *)
 (* Property: randomized mutation schedules                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1081,6 +1244,9 @@ let () =
         [
           Alcotest.test_case "semantics→spec mapping" `Quick test_semantics_spec_mapping;
           Alcotest.test_case "gmw classification" `Quick test_gmw_classification;
+          Alcotest.test_case "every value behaves like its normal form" `Quick
+            test_dispatch_normal_form;
+          Alcotest.test_case "member whose object is missing" `Quick test_missing_object_branches;
         ] );
       ( "properties",
         qcheck
