@@ -103,11 +103,19 @@ vopr-smoke:
 # shed-after-apply by its shed-divergence verdict.  Repro bundles for
 # any failing row land in repl-bundles/ (CI uploads them); replay one
 # with `weakset_vopr replay`, or re-run a row with `scenarios --only NAME`.
+# A row's bundle is a plan bundle like any other: one of the
+# view-change-drop convictions (bundled in repl-mutation-bundles/) must
+# replay on its own.
 repl-smoke:
 	rm -rf repl-bundles && mkdir -p repl-bundles
 	dune exec bin/weakset_vopr.exe -- scenarios --bundle-dir repl-bundles --quiet
-	dune exec bin/weakset_vopr.exe -- scenarios --mutation view-change-drop --quiet; \
+	rm -rf repl-mutation-bundles && mkdir -p repl-mutation-bundles
+	dune exec bin/weakset_vopr.exe -- scenarios --mutation view-change-drop \
+	  --bundle-dir repl-mutation-bundles --quiet; \
 	  test $$? -eq 1 || { echo "repl-smoke: mutation view-change-drop was NOT detected"; exit 1; }
+	dune exec bin/weakset_vopr.exe -- replay \
+	  "$$(ls repl-mutation-bundles/scenario-*.json | head -n 1)" \
+	  || { echo "repl-smoke: a view-change-drop row bundle did not replay"; exit 1; }
 	dune exec bin/weakset_vopr.exe -- scenarios --only retry-storm --mutation shed-after-apply --quiet; \
 	  test $$? -eq 1 || { echo "repl-smoke: mutation shed-after-apply was NOT detected"; exit 1; }
 

@@ -37,7 +37,7 @@ let usage =
    replay options:\n\
   \  BUNDLE               repro bundle written by run/shrink/scenarios; its\n\
   \                       mutation and step cap are used\n\n\
-   shrink options (plan bundles only; the bundle must replay first):\n\
+   shrink options (the bundle must replay first):\n\
   \  --max-runs N         candidate execution budget (default 200)\n\
   \  -o FILE              output bundle (default: overwrite input)\n\
   \  BUNDLE               repro bundle to minimise\n\n\
@@ -250,17 +250,12 @@ let load_bundle path =
   | Ok b -> b
   | Error m -> refuse "cannot load %s: %s" path m
 
-let describe_subject (b : Runner.bundle) =
-  match b.b_subject with
-  | Runner.Plan p -> Printf.sprintf "seed %Ld" p.Gen.seed
-  | Runner.Row name -> Printf.sprintf "scenario %s" name
-
 (* Replays [b] and prints the outcome; true iff it reproduced. *)
 let replay_and_report (b : Runner.bundle) =
   match Runner.replay b with
   | Runner.Reproduced r ->
-      Printf.printf "reproduced: %s%s, digest %s over %d events, %d issue(s)\n"
-        (describe_subject b) (armed_suffix b.b_mutation) r.b_digest r.b_events
+      Printf.printf "reproduced: seed %Ld%s, digest %s over %d events, %d issue(s)\n"
+        b.b_plan.Gen.seed (armed_suffix b.b_mutation) r.b_digest r.b_events
         (List.length r.b_issues);
       List.iter (fun i -> Printf.printf "  - %s\n" (Oracle.describe i)) r.b_issues;
       true
@@ -321,11 +316,6 @@ let cmd_shrink args =
   let o = parse_shrink_args args in
   let path = match o.s_bundle with Some p -> p | None -> usage_die "shrink: no bundle given" in
   let b = load_bundle path in
-  let plan =
-    match b.b_subject with
-    | Runner.Plan p -> p
-    | Runner.Row _ -> refuse "a scenario-row bundle has no schedule to shrink"
-  in
   let issues =
     match b.b_issues with
     | [] -> refuse "bundle records a passing run; nothing to shrink"
@@ -336,7 +326,7 @@ let cmd_shrink args =
   if not (replay_and_report b) then refuse "bundle does not replay; not shrinking %s" path;
   let execute p = Runner.execute ~step_cap:b.b_step_cap ?mutation:b.b_mutation p in
   let run p = (execute p).issues in
-  let plan', _, st = Shrink.minimize ?max_runs:o.s_max_runs ~run ~issues plan in
+  let plan', _, st = Shrink.minimize ?max_runs:o.s_max_runs ~run ~issues b.b_plan in
   let r' = execute plan' in
   Printf.printf "shrunk %d -> %d schedule events (%d candidate runs, %d kept)\n"
     st.initial_events st.final_events st.runs st.kept;
@@ -355,8 +345,8 @@ let cmd_scenarios args =
   if o.list then begin
     List.iter
       (fun (s : Scenario.t) ->
-        Printf.printf "%-28s %d replicas, %.0fs, %d steps\n" s.name s.replicas s.until
-          (List.length s.steps))
+        Printf.printf "%-28s %d replicas, %.0fs, %d steps\n" s.name
+          (s.plan.config.nodes - 1) s.plan.budget (Gen.event_count s.plan))
       Scenario.table;
     exit 0
   end;
@@ -383,7 +373,7 @@ let cmd_scenarios args =
         Option.iter
           (fun dir ->
             let path = Filename.concat dir (Printf.sprintf "scenario-%s.json" outcome.o_name) in
-            Runner.write_bundle ~path (Runner.bundle_of_outcome outcome);
+            Runner.write_bundle ~path (Runner.bundle_of_result outcome.o_run);
             Printf.printf "  bundle: %s\n%!" path)
           o.bundle_dir)
     rows;

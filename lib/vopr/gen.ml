@@ -15,6 +15,8 @@ type config = {
   cache : bool;
   lease_ttl : float;
   open_loop : open_loop option;
+  group : bool;
+  admission : int option;
 }
 
 type op =
@@ -22,12 +24,16 @@ type op =
   | Remove of { at : float }
   | Size of { at : float }
   | Iterate of { at : float; semantics : string; think : float; limit : int; repeat : int }
+  | Load of { at : float; until : float; every : float }
+  | Probe of { at : float }
 
 type fault =
   | Crash of { node : int; at : float; recover_at : float }
   | Cut of { a : int; b : int; at : float; heal_at : float }
   | Partition of { groups : int list list; at : float; heal_at : float }
+  | Isolate of { node : int; at : float; heal_at : float }
   | Herd of { at : float; clients : int; burst : int }
+  | Storm of { at : float; until : float; clients : int; every : float }
 
 type plan = {
   seed : int64;
@@ -46,11 +52,17 @@ let shape_of_name = function
   | _ -> None
 
 let op_time = function
-  | Add { at } | Remove { at } | Size { at } -> at
-  | Iterate { at; _ } -> at
+  | Add { at } | Remove { at } | Size { at } | Probe { at } -> at
+  | Iterate { at; _ } | Load { at; _ } -> at
 
 let fault_time = function
-  | Crash { at; _ } | Cut { at; _ } | Partition { at; _ } | Herd { at; _ } -> at
+  | Crash { at; _ }
+  | Cut { at; _ }
+  | Partition { at; _ }
+  | Isolate { at; _ }
+  | Herd { at; _ }
+  | Storm { at; _ } ->
+      at
 
 let event_count plan = List.length plan.ops + List.length plan.faults
 
@@ -92,6 +104,8 @@ let gen_config rng =
     cache;
     lease_ttl;
     open_loop;
+    group = false;
+    admission = None;
   }
 
 (* Weighted semantics mix; stale-replica reads only make sense when the
@@ -222,6 +236,10 @@ let op_to_json = function
         (fnum at)
         (Weakset_obs.Event.json_escape semantics)
         (fnum think) limit repeat
+  | Load { at; until; every } ->
+      Printf.sprintf {|{"op":"load","at":%s,"until":%s,"every":%s}|} (fnum at) (fnum until)
+        (fnum every)
+  | Probe { at } -> Printf.sprintf {|{"op":"probe","at":%s}|} (fnum at)
 
 let fault_to_json = function
   | Crash { node; at; recover_at } ->
@@ -234,9 +252,15 @@ let fault_to_json = function
       Printf.sprintf {|{"fault":"partition","groups":[%s],"at":%s,"heal_at":%s}|}
         (String.concat "," (List.map ints_to_json groups))
         (fnum at) (fnum heal_at)
+  | Isolate { node; at; heal_at } ->
+      Printf.sprintf {|{"fault":"isolate","node":%d,"at":%s,"heal_at":%s}|} node (fnum at)
+        (fnum heal_at)
   | Herd { at; clients; burst } ->
       Printf.sprintf {|{"fault":"herd","at":%s,"clients":%d,"burst":%d}|} (fnum at) clients
         burst
+  | Storm { at; until; clients; every } ->
+      Printf.sprintf {|{"fault":"storm","at":%s,"until":%s,"clients":%d,"every":%s}|} (fnum at)
+        (fnum until) clients (fnum every)
 
 let open_loop_to_json = function
   | None -> "null"
@@ -244,12 +268,16 @@ let open_loop_to_json = function
       Printf.sprintf {|{"rate":%s,"clients":%d,"bursty":%b}|} (fnum ol_rate) ol_clients
         ol_bursty
 
+(* [group] and [admission] are written only when set, so every plan
+   without them renders exactly as before they existed. *)
 let config_to_json c =
   Printf.sprintf
-    {|{"shape":"%s","nodes":%d,"latency":%s,"replica_ixs":%s,"replica_interval":%s,"initial_size":%d,"cache":%b,"lease_ttl":%s,"open_loop":%s}|}
+    {|{"shape":"%s","nodes":%d,"latency":%s,"replica_ixs":%s,"replica_interval":%s,"initial_size":%d,"cache":%b,"lease_ttl":%s,"open_loop":%s%s%s}|}
     (shape_name c.shape) c.nodes (fnum c.latency) (ints_to_json c.replica_ixs)
     (fnum c.replica_interval) c.initial_size c.cache (fnum c.lease_ttl)
     (open_loop_to_json c.open_loop)
+    (if c.group then {|,"group":true|} else "")
+    (match c.admission with None -> "" | Some cap -> Printf.sprintf {|,"admission":%d|} cap)
 
 let plan_to_json p =
   Printf.sprintf {|{"seed":%Ld,"config":%s,"ops":[%s],"faults":[%s],"budget":%s}|} p.seed
@@ -324,6 +352,14 @@ let op_of_json j =
       let* limit = int_field "limit" j in
       let* repeat = int_field "repeat" j in
       Ok (Iterate { at; semantics; think; limit; repeat })
+  | "load" ->
+      let* at = float_field "at" j in
+      let* until = float_field "until" j in
+      let* every = float_field "every" j in
+      Ok (Load { at; until; every })
+  | "probe" ->
+      let* at = float_field "at" j in
+      Ok (Probe { at })
   | k -> Error (Printf.sprintf "unknown op kind %S" k)
 
 let fault_of_json j =
@@ -359,11 +395,22 @@ let fault_of_json j =
       let* at = float_field "at" j in
       let* heal_at = float_field "heal_at" j in
       Ok (Partition { groups; at; heal_at })
+  | "isolate" ->
+      let* node = int_field "node" j in
+      let* at = float_field "at" j in
+      let* heal_at = float_field "heal_at" j in
+      Ok (Isolate { node; at; heal_at })
   | "herd" ->
       let* at = float_field "at" j in
       let* clients = int_field "clients" j in
       let* burst = int_field "burst" j in
       Ok (Herd { at; clients; burst })
+  | "storm" ->
+      let* at = float_field "at" j in
+      let* until = float_field "until" j in
+      let* clients = int_field "clients" j in
+      let* every = float_field "every" j in
+      Ok (Storm { at; until; clients; every })
   | k -> Error (Printf.sprintf "unknown fault kind %S" k)
 
 let bool_field name j =
@@ -396,6 +443,14 @@ let config_of_json j =
         let* ol_bursty = bool_field "bursty" ol in
         Ok (Some { ol_rate; ol_clients; ol_bursty })
   in
+  let* group =
+    match Json.member "group" j with None -> Ok false | Some _ -> bool_field "group" j
+  in
+  let* admission =
+    match Json.member "admission" j with
+    | None -> Ok None
+    | Some _ -> Result.map Option.some (int_field "admission" j)
+  in
   Ok
     {
       shape;
@@ -407,6 +462,8 @@ let config_of_json j =
       cache;
       lease_ttl;
       open_loop;
+      group;
+      admission;
     }
 
 let plan_of_json j =

@@ -16,7 +16,14 @@
 
     Node-index convention (shared with [Runner]): index [0] is the
     directory coordinator ([Star]: the hub), index [nodes - 1] is the
-    client, indexes [1 .. nodes - 2] home the member objects. *)
+    client, indexes [1 .. nodes - 2] home the member objects.  In a
+    [group] plan, index [0] and the [replica_ixs] are the members of one
+    replication group (index [0] leads view 0); other homes only store
+    objects, and the client node runs no store service.
+
+    Replication-group workloads ({!Load}, {!Probe}, {!Storm}) are what
+    the hand-written cluster scenarios ([Scenario.table]) are made of;
+    {!generate} does not draw them yet. *)
 
 type shape = Clique | Star | Line
 
@@ -41,6 +48,14 @@ type config = {
   open_loop : open_loop option;
       (** background arrival knob; [None] on most seeds (and on every
           bundle written before the knob existed) *)
+  group : bool;
+      (** index [0] and [replica_ixs] form a replication group sharing
+          one commit ledger, instead of a coordinator with anti-entropy
+          pull replicas; every fault heals 30 time units before
+          [budget] *)
+  admission : int option;
+      (** per-node admission-control capacity
+          ({!Weakset_store.Node_server.admission}); [None] runs without *)
 }
 
 type op =
@@ -53,15 +68,32 @@ type op =
           [limit] bounds yields so grow-only races terminate.  [repeat]
           exceeds 1 only on cache-enabled configs, so warm re-iteration
           over leased state gets exercised under faults *)
+  | Load of { at : float; until : float; every : float }
+      (** replication-group client traffic every [every] until [until]:
+          two [dir_add]s then a [dir_remove] of the elder, every op
+          effective when acked *)
+  | Probe of { at : float }
+      (** record whether the group has a stable leader (excused while
+          not quorum-connected); [group] plans only *)
 
 type fault =
   | Crash of { node : int; at : float; recover_at : float }
   | Cut of { a : int; b : int; at : float; heal_at : float }
   | Partition of { groups : int list list; at : float; heal_at : float }
+      (** unlisted nodes form the leftover group *)
+  | Isolate of { node : int; at : float; heal_at : float }
+      (** cut every link of [node] over the window *)
   | Herd of { at : float; clients : int; burst : int }
       (** thundering herd: [clients] fibers wake at [at] and each fires
           [burst] back-to-back size queries — a load spike, not a
           topology fault, so it has no heal time *)
+  | Storm of { at : float; until : float; clients : int; every : float }
+      (** a retry storm: [clients] retry-budgeted clients (each with its
+          own {!Weakset_sim.Rng.split} jitter stream) hammer the
+          coordinator every [every] — mostly [dir_read]s, a [dir_add]
+          every fifth op, and every client's {e first} op an add so the
+          opening burst sheds past the mutate threshold.  Meaningful
+          with [admission] set *)
 
 type plan = {
   seed : int64;

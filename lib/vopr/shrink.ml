@@ -24,6 +24,10 @@ let shorten_fault f =
       Option.map (fun heal_at -> Gen.Cut { a; b; at; heal_at }) (half ~at ~heal:heal_at)
   | Gen.Partition { groups; at; heal_at } ->
       Option.map (fun heal_at -> Gen.Partition { groups; at; heal_at }) (half ~at ~heal:heal_at)
+  | Gen.Isolate { node; at; heal_at } ->
+      Option.map (fun heal_at -> Gen.Isolate { node; at; heal_at }) (half ~at ~heal:heal_at)
+  | Gen.Storm { at; until; clients; every } ->
+      Option.map (fun until -> Gen.Storm { at; until; clients; every }) (half ~at ~heal:until)
   (* A herd has no window; its size is the spike itself, so halve that. *)
   | Gen.Herd { at; clients; burst } ->
       if clients <= 1 && burst <= 1 then None

@@ -9,7 +9,7 @@
 
     - drop one workload op at a time;
     - drop one fault event at a time;
-    - shorten fault durations (halve the [at .. heal_at/recover_at]
+    - shorten fault durations (halve the [at .. heal_at/recover_at/until]
       window, keeping the heal strictly after the start so the shrunk
       plan still passes {!Weakset_net.Fault.schedule_partition}'s
       validation).

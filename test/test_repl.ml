@@ -9,6 +9,7 @@ open Weakset_net
 open Weakset_store
 module Group = Weakset_repl.Group
 module Scenario = Weakset_vopr.Scenario
+module Runner = Weakset_vopr.Runner
 module Oracle = Weakset_vopr.Oracle
 
 let check_int = Alcotest.(check int)
@@ -427,7 +428,7 @@ let test_oracle_clean_evidence_passes () =
 
 let test_scenario_table_is_valid () =
   check_bool "at least a dozen rows" true (List.length Scenario.table >= 12);
-  List.iter Scenario.validate Scenario.table;
+  List.iter (fun (s : Scenario.t) -> Runner.validate s.plan) Scenario.table;
   let names = List.map (fun (s : Scenario.t) -> s.name) Scenario.table in
   check_int "names unique" (List.length names) (List.length (List.sort_uniq compare names))
 

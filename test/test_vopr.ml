@@ -43,7 +43,10 @@ let test_gen_shape_sanity () =
           let heal =
             match f with
             | Gen.Crash { recover_at; _ } -> Some recover_at
-            | Gen.Cut { heal_at; _ } | Gen.Partition { heal_at; _ } -> Some heal_at
+            | Gen.Cut { heal_at; _ } | Gen.Partition { heal_at; _ } | Gen.Isolate { heal_at; _ }
+              ->
+                Some heal_at
+            | Gen.Storm { until; _ } -> Some until
             | Gen.Herd _ -> None (* a spike, not a window *)
           in
           match heal with
@@ -68,15 +71,20 @@ let prop_config_stream_independent =
       let seed = Int64.of_int n in
       Gen.config_of_seed seed = (Gen.generate seed).Gen.config)
 
+(* Generated plans, and every scenario row's plan (which sets [group],
+   [admission] and the replication-group constructors). *)
 let prop_plan_json_roundtrip =
+  let roundtrips plan =
+    let json = Gen.plan_to_json plan in
+    match Gen.plan_of_string json with
+    | Error e -> QCheck.Test.fail_reportf "parse error: %s" e
+    | Ok plan' -> plan' = plan && Gen.plan_to_json plan' = json
+  in
   QCheck.Test.make ~name:"plan JSON round-trips byte-exactly" ~count:50
     QCheck.(int_bound 100_000)
     (fun n ->
-      let plan = Gen.generate (Int64.of_int n) in
-      let json = Gen.plan_to_json plan in
-      match Gen.plan_of_string json with
-      | Error e -> QCheck.Test.fail_reportf "parse error: %s" e
-      | Ok plan' -> plan' = plan && Gen.plan_to_json plan' = json)
+      roundtrips (Gen.generate (Int64.of_int n))
+      && List.for_all (fun (row : Scenario.t) -> roundtrips row.plan) Scenario.table)
 
 (* ------------------------------------------------------------------ *)
 (* Runner determinism                                                 *)
@@ -90,8 +98,8 @@ let test_execute_digest_stable () =
   check_int "same step count" a.Runner.steps b.Runner.steps
 
 (* Three bundles — a plain plan, a plan recorded with a mutation armed,
-   and a scenario row — each survive JSON byte-exactly; and every
-   mutation's name parses back to it. *)
+   and a scenario row's plan — each survive JSON byte-exactly, the row's
+   replays on its own; and every mutation's name parses back to it. *)
 let test_bundle_roundtrip () =
   let roundtrip what bundle =
     match Runner.bundle_of_string (Runner.bundle_to_json bundle) with
@@ -108,9 +116,14 @@ let test_bundle_roundtrip () =
   (match Scenario.find "steady-state" with
   | None -> Alcotest.fail "steady-state missing from the table"
   | Some row ->
-      let b = Runner.bundle_of_outcome (Scenario.run row) in
-      check_bool "row subject" true (b.Runner.b_subject = Runner.Row "steady-state");
-      roundtrip "scenario row" b);
+      let b = Runner.bundle_of_result (Scenario.run row).Scenario.o_run in
+      check_bool "row plan" true (b.Runner.b_plan = row.Scenario.plan);
+      roundtrip "scenario row" b;
+      match Runner.replay b with
+      | Runner.Reproduced r ->
+          check_string "row replay digest" b.Runner.b_digest r.Runner.b_digest
+      | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying the row bundle"
+      | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying the row bundle");
   List.iter
     (fun m ->
       let name = Mutation.to_string m in
@@ -150,6 +163,55 @@ let test_mutation_disarmed_after_raise () =
   List.iter
     (fun m -> check_bool ("disarmed: " ^ Mutation.to_string m) false (Mutation.armed m))
     Mutation.all
+
+(* A malformed plan is refused before it runs, by [execute] and by
+   [bundle_of_string] alike, instead of convicting the program: seed 0's
+   cut healed before it starts would otherwise leave the iteration
+   suspended after every fault healed ("iterator stuck"). *)
+let test_malformed_plans_rejected () =
+  let seed0 = Gen.generate 0L in
+  let steady =
+    match Scenario.find "steady-state" with
+    | Some row -> row.Scenario.plan
+    | None -> Alcotest.fail "steady-state missing from the table"
+  in
+  let inverted_cut =
+    {
+      seed0 with
+      Gen.faults =
+        List.map
+          (function
+            | Gen.Cut { a; b; at; heal_at } -> Gen.Cut { a; b; at = heal_at; heal_at = at }
+            | f -> f)
+          seed0.Gen.faults;
+    }
+  in
+  check_bool "seed 0 has a cut" true (inverted_cut <> seed0);
+  let cases =
+    [
+      ("inverted cut window", inverted_cut);
+      ("negative start", { seed0 with Gen.ops = Gen.Size { at = -1.0 } :: seed0.Gen.ops });
+      ( "probe without a group",
+        { seed0 with Gen.ops = seed0.Gen.ops @ [ Gen.Probe { at = 50.0 } ] } );
+      ( "load past the heal margin",
+        { steady with Gen.ops = [ Gen.Load { at = 10.0; until = 280.0; every = 2.0 } ] } );
+      ( "crash of a node outside the group",
+        { steady with Gen.faults = [ Gen.Crash { node = 3; at = 60.0; recover_at = 150.0 } ] } );
+      ( "empty isolation window",
+        { steady with Gen.faults = [ Gen.Isolate { node = 1; at = 60.0; heal_at = 60.0 } ] } );
+    ]
+  in
+  let recorded = Runner.bundle_of_result (Runner.execute seed0) in
+  List.iter
+    (fun (what, plan) ->
+      (match Runner.execute plan with
+      | _ -> Alcotest.failf "%s: execute accepted the plan" what
+      | exception Invalid_argument _ -> ());
+      let json = Runner.bundle_to_json { recorded with Runner.b_plan = plan } in
+      match Runner.bundle_of_string json with
+      | Ok _ -> Alcotest.failf "%s: bundle_of_string accepted the plan" what
+      | Error _ -> ())
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* Mutation test                                                      *)
@@ -227,6 +289,8 @@ let shrink_plan =
         cache = false;
         lease_ttl = 30.0;
         open_loop = None;
+        group = false;
+        admission = None;
       };
     ops =
       [
@@ -365,6 +429,7 @@ let () =
             test_replay_uses_recorded_step_cap;
           Alcotest.test_case "mutation disarmed after a raise" `Quick
             test_mutation_disarmed_after_raise;
+          Alcotest.test_case "malformed plans rejected" `Quick test_malformed_plans_rejected;
         ] );
       ( "mutation",
         Alcotest.test_case "clean swarm without bug" `Quick test_swarm_clean_without_bug
